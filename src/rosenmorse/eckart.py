@@ -1,7 +1,7 @@
 """Reference system on (0, inf): v(z) = -2b coth z + a(a+1) csch^2 z.
 
 Unlike the trigonometric problem, only finitely many levels are bound:
-indices n with 0 < n + a <= sqrt(b), each carrying
+indices n with 0 < n + a < sqrt(b), each carrying
 
     beta_n = b/(n+a),   eps_n = -(n+a)^2 - b^2/(n+a)^2,
     psi_n(z) = (x-1)^{(beta_n-n-a)/2} (x+1)^{-(beta_n+n+a)/2} P_n(x),
@@ -11,6 +11,9 @@ with P_n a degree-n Jacobi polynomial at indices (beta_n-n-a, -(beta_n+n+a)).
 Those indices fall outside the classical orthogonality range, so P_n is built
 from the terminating series, which is polynomial in the indices and therefore
 defined for any real values.
+
+At n + a = sqrt(b) the decay rate beta_n - (n+a) vanishes: that threshold
+state tends to a constant, is not normalizable and is not a bound level.
 
 The csch^2 coefficient convention matches the trigonometric module; the
 closed-form level data above pairs exactly with that potential at a = 0,
@@ -64,7 +67,7 @@ class EckartLevel:
 
 def _binding(params: EckartParams, n: int) -> bool:
     na = n + params.a
-    return na > 0 and na * na <= params.b
+    return na > 0 and na * na < params.b
 
 
 def eckart_potential(params: EckartParams, z):
@@ -86,7 +89,7 @@ def eckart_level(params: EckartParams, n: int) -> EckartLevel:
 
 
 def eckart_spectrum(params: EckartParams) -> list:
-    """All bound levels, lowest first: integers n >= 1 with 0 < n+a <= sqrt(b)."""
+    """All bound levels, lowest first: integers n >= 1 with 0 < n+a < sqrt(b)."""
     out = []
     n = 1
     while params.a + n <= 0:

@@ -3,7 +3,7 @@
 Two workhorses live here: adaptive quadrature (double-exponential by default,
 composite Gauss-Legendre as an alternative) and a finite-difference
 eigensolver for one-dimensional Hamiltonians (3-point Dirichlet
-discretization, Sturm-sequence bisection, inverse iteration for
+discretization, Sturm-sequence multisection, inverse iteration for
 eigenvectors).  Everything is deterministic and pure.
 """
 
@@ -17,6 +17,8 @@ import numpy as np
 _T_MAX = 6.0          # hard cap on the double-exponential parameter
 _BLOCK = 128          # nodes evaluated per vectorized chunk
 _SAFMIN = 2.2250738585072014e-308
+_STURM_SHIFTS = 256   # shifts counted per multisection sweep
+_STURM_ROWS = 64      # matrix rows per vectorized block of the pivot recurrence
 
 
 @dataclass(frozen=True)
@@ -265,32 +267,6 @@ def sample(f, z: np.ndarray) -> SampledFunction:
     return SampledFunction(z, np.asarray(f(z), dtype=float))
 
 
-def count_sign_changes(values: np.ndarray, rel_threshold: float = 1e-9) -> int:
-    """Sign changes of a sampled function, ignoring values below a noise floor."""
-    v = np.asarray(values, dtype=float)
-    big = v[np.abs(v) > rel_threshold * np.max(np.abs(v))]
-    return int(np.sum(np.sign(big[1:]) * np.sign(big[:-1]) < 0))
-
-
-def count_zeros(f, lo: float, hi: float, samples: int = 2001) -> int:
-    """Interior zeros of a callable: sign-change brackets refined by bisection."""
-    z = np.linspace(lo, hi, samples)
-    v = np.asarray(f(z), dtype=float)
-    count = 0
-    for i in np.nonzero(np.sign(v[1:]) * np.sign(v[:-1]) < 0)[0]:
-        a, b = float(z[i]), float(z[i + 1])
-        fa = float(v[i])
-        for _ in range(60):
-            m = 0.5 * (a + b)
-            fm = float(np.asarray(f(np.array([m])), dtype=float)[0])
-            if fa * fm <= 0:
-                b = m
-            else:
-                a, fa = m, fm
-        count += 1
-    return count
-
-
 # -- finite-difference Hamiltonian and eigensolvers ---------------------------
 
 
@@ -334,51 +310,92 @@ def fdm_hamiltonian(v, n: int, domain) -> TridiagonalOperator:
     return TridiagonalOperator(diag=diag, offdiag=off, step=h, z0=float(z[0]))
 
 
-def _sturm_count(d, e2, x: float, pivmin: float) -> int:
-    """Number of eigenvalues strictly below x (LDL pivot sign count)."""
-    count = 0
-    q = 1.0
-    for i in range(len(d)):
-        q = d[i] - x - (e2[i - 1] / q if i else 0.0)
-        if abs(q) < pivmin:
-            q = -pivmin
-        if q < 0.0:
-            count += 1
-    return count
+def _sturm_counts(d: np.ndarray, e2: np.ndarray, shifts: np.ndarray, pivmin: float) -> np.ndarray:
+    """Number of eigenvalues strictly below each shift (LDL pivot sign counts).
+
+    Runs the pivot recurrence q_i = (d_i - x) - e2_{i-1}/q_{i-1} for all
+    shifts at once, _STURM_ROWS rows at a time.  A pivot smaller than pivmin
+    is replaced by -pivmin; a block is first run without that guard and,
+    when any of its pivots needs it, run again row by row with it, so each
+    count equals the one-shift recurrence exactly.
+    """
+    n, width = len(d), len(shifts)
+    block = np.empty((_STURM_ROWS, width))      # pivots of the current block
+    dx = np.empty((_STURM_ROWS, width))         # d_i - x for the current block
+    magnitudes = np.empty((_STURM_ROWS, width))
+    incoming = np.ones(width)                   # pivot before the block
+    counts = np.zeros(width, dtype=np.intp)
+    q_rows, dx_rows = list(block), list(dx)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, n, _STURM_ROWS):
+            m = min(_STURM_ROWS, n - start)
+            np.subtract(d[start:start + m, None], shifts, out=dx[:m])
+            # the first row divides 0 by the initial pivot 1, subtracting 0
+            ratios = e2[start - 1:start + m - 1].tolist() if start else [0.0, *e2[: m - 1].tolist()]
+            q = incoming
+            for r, dxr, qr in zip(ratios, dx_rows, q_rows):
+                np.divide(r, q, out=qr)
+                np.subtract(dxr, qr, out=qr)
+                q = qr
+            mags = np.abs(block[:m], out=magnitudes[:m])
+            if not mags.min() >= pivmin:        # also true when a pivot is nan
+                q = incoming
+                for r, dxr, qr in zip(ratios, dx_rows, q_rows):
+                    np.divide(r, q, out=qr)
+                    np.subtract(dxr, qr, out=qr)
+                    qr[np.abs(qr) < pivmin] = -pivmin
+                    q = qr
+            counts += np.count_nonzero(block[:m] < 0.0, axis=0)
+            np.copyto(incoming, q)
+    return counts
 
 
 def eigenvalues_sturm(op: TridiagonalOperator, k: int) -> list:
-    """k smallest eigenvalues by Sturm-sequence counting and bisection.
+    """k smallest eigenvalues by Sturm-sequence multisection.
 
     Deterministic; robust against the huge diagonal spread produced by
-    singular potentials near the walls.  Each eigenvalue is bisected to an
-    absolute tolerance of 1e-10 times its own scale, not the spectral bound,
-    so small low-lying eigenvalues keep full relative accuracy.
+    singular potentials near the walls.  All k brackets start from the
+    Gershgorin interval; each sweep spreads _STURM_SHIFTS shifts over the
+    brackets still open, counts eigenvalues below every shift at once and
+    narrows each bracket to the two neighbouring shifts whose counts enclose
+    its index.  A bracket closes at an absolute width of 1e-10 times its own
+    scale, not the spectral bound, so small low-lying eigenvalues keep full
+    relative accuracy; its midpoint is returned.
     """
     n = op.dimension
     if not 1 <= k <= n:
         raise ValueError("eigenvalue count out of range")
-    d = [float(x) for x in op.diag]
-    e2 = [float(x) * float(x) for x in op.offdiag]
-    glo, ghi = d[0], d[0]
-    for i in range(n):
-        r = (abs(op.offdiag[i - 1]) if i > 0 else 0.0) + (abs(op.offdiag[i]) if i < n - 1 else 0.0)
-        glo = min(glo, d[i] - r)
-        ghi = max(ghi, d[i] + r)
-    pivmin = max(_SAFMIN * max(e2, default=0.0), _SAFMIN)
-    out = []
-    for j in range(1, k + 1):
-        lo, hi = glo, ghi
-        while True:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi or hi - lo <= 1e-10 * max(1.0, abs(mid)):
-                break
-            if _sturm_count(d, e2, mid, pivmin) >= j:
-                hi = mid
-            else:
-                lo = mid
-        out.append(0.5 * (lo + hi))
-    return out
+    d = np.asarray(op.diag, dtype=float)
+    e = np.abs(np.asarray(op.offdiag, dtype=float))
+    e2 = e * e
+    radius = np.zeros(n)
+    radius[:-1] += e
+    radius[1:] += e
+    lo = np.full(k, float(np.min(d - radius)))
+    hi = np.full(k, float(np.max(d + radius)))
+    pivmin = max(_SAFMIN * float(e2.max(initial=0.0)), _SAFMIN)
+    while True:
+        mid = 0.5 * (lo + hi)
+        open_ = (lo < mid) & (mid < hi) & (hi - lo > 1e-10 * np.maximum(1.0, np.abs(mid)))
+        if not open_.any():
+            return mid.tolist()
+        # eigenvalues sharing a bracket share its shifts
+        brackets = list(dict.fromkeys(zip(lo[open_].tolist(), hi[open_].tolist())))[:_STURM_SHIFTS]
+        ends = np.array(brackets)
+        per = _STURM_SHIFTS // len(brackets)
+        grid = ends[:, :1] + (ends[:, 1:] - ends[:, :1]) * (np.arange(1, per + 1) / (per + 1))
+        counts = _sturm_counts(d, e2, grid.ravel(), pivmin).reshape(grid.shape)
+        row_of = {bracket: row for row, bracket in enumerate(brackets)}
+        for j in np.nonzero(open_)[0]:
+            row = row_of.get((lo[j], hi[j]))
+            if row is None:
+                continue
+            above = counts[row] > j             # count >= j + 1, the eigenvalue's index
+            i = int(np.argmax(above)) if above.any() else per
+            if i:
+                lo[j] = grid[row, i - 1]
+            if i < per:
+                hi[j] = grid[row, i]
 
 
 def _solve_shifted(d: np.ndarray, e: np.ndarray, shift: float, rhs: np.ndarray) -> np.ndarray:

@@ -1,13 +1,16 @@
 """Independent oracles for the test suite.
 
 Everything here is computed from standard identities (three-term recurrences,
-terminating sums, antiderivatives, characteristic polynomials) and never goes
-through the generation engine or solvers it is used to check.
+terminating sums, antiderivatives, characteristic polynomials, the one-shift
+Sturm recurrence) and never goes through the generation engine or solvers it
+is used to check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import numpy as np
 
 from rosenmorse.polycore import Polynomial
 
@@ -198,3 +201,36 @@ def _radii(e, n):
 
 def _sign(v) -> int:
     return (v > 0) - (v < 0)
+
+
+# -- Sturm counts and sign changes --------------------------------------------
+
+
+def sturm_count(d, e2, x: float, pivmin: float) -> int:
+    """Number of eigenvalues strictly below x (LDL pivot sign count), one row at a time.
+
+    Reference for the vectorized counts in `rosenmorse.numerics`: a pivot
+    smaller than pivmin in magnitude is replaced by -pivmin.
+    """
+    count = 0
+    q = 1.0
+    for i in range(len(d)):
+        q = d[i] - x - (e2[i - 1] / q if i else 0.0)
+        if abs(q) < pivmin:
+            q = -pivmin
+        if q < 0.0:
+            count += 1
+    return count
+
+
+def count_sign_changes(values, rel_threshold: float = 1e-9) -> int:
+    """Sign changes of a sampled function, ignoring values below a noise floor."""
+    v = np.asarray(values, dtype=float)
+    big = v[np.abs(v) > rel_threshold * np.max(np.abs(v))]
+    return int(np.sum(np.sign(big[1:]) * np.sign(big[:-1]) < 0))
+
+
+def count_zeros(f, lo: float, hi: float, samples: int = 2001) -> int:
+    """Interior zeros of a callable, counted as sign changes on a uniform grid."""
+    v = np.asarray(f(np.linspace(lo, hi, samples)), dtype=float)
+    return int(np.sum(np.sign(v[1:]) * np.sign(v[:-1]) < 0))

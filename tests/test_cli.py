@@ -89,6 +89,13 @@ class TestSpectrum:
         assert len(rows) == math.floor(math.sqrt(50))
         assert rows[0][2] == pytest.approx(-2501.0)
 
+    def test_eckart_threshold_level_omitted(self, tmp_path):
+        target = tmp_path / "eck.csv"
+        assert main(["spectrum", "--system", "eckart", "--a", "0", "--b", "100",
+                     "--format", "csv", "-o", str(target)]) == 0
+        _, _, rows = read_rows(target)
+        assert rows[:, 0].tolist() == list(range(1, 10))
+
     def test_trm_values(self, tmp_path):
         target = tmp_path / "trm.csv"
         assert main(["spectrum", "--a", "1", "--b", "50", "--n-max", "2",

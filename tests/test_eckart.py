@@ -90,6 +90,18 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             eckart_wavefunction(EckartParams(0, 50), 8, 1.0)
 
+    def test_threshold_level_is_not_bound(self):
+        # n + a = sqrt(b) has zero decay rate: a threshold state, not a level
+        params = EckartParams(0, 100)
+        assert [l.n for l in eckart_spectrum(params)] == list(range(1, 10))
+        with pytest.raises(ValueError):
+            eckart_level(params, 10)
+        with pytest.raises(ValueError):
+            eckart_normalization(params, 10)
+
+    def test_level_below_threshold_normalizes(self):
+        assert math.isfinite(eckart_normalization(EckartParams(0, 100), 9))
+
 
 class TestJacobi:
     def test_degree_zero(self):

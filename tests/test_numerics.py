@@ -10,8 +10,8 @@ from rosenmorse.numerics import (
     QuadratureSpec,
     SampledFunction,
     TridiagonalOperator,
-    count_sign_changes,
-    count_zeros,
+    _SAFMIN,
+    _sturm_counts,
     eigenvalues_sturm,
     eigenvector_inverse_iteration,
     fdm_eigenvalues,
@@ -162,6 +162,14 @@ class TestSturmEigenvalues:
         for g, w in zip(got, want):
             assert g == pytest.approx(w, abs=1e-9 * max(1.0, abs(w)))
 
+    def test_more_eigenvalues_than_shifts_per_sweep(self):
+        n = 300
+        op = fdm_hamiltonian(lambda z: 0.0 * z, n, (0.0, math.pi))
+        h = op.step
+        got = eigenvalues_sturm(op, n)
+        want = [(4 / h**2) * math.sin(j * h / 2) ** 2 for j in range(1, n + 1)]
+        assert got == pytest.approx(want, rel=1e-9)
+
     def test_random_matrices_vs_charpoly_oracle(self):
         rng = np.random.default_rng(20240817)
         for dim in (2, 3, 5, 8, 12):
@@ -178,6 +186,63 @@ class TestSturmEigenvalues:
             eigenvalues_sturm(op, 3)
         with pytest.raises(ValueError):
             eigenvalues_sturm(op, 0)
+
+
+def _pivmin(e2):
+    return max(_SAFMIN * float(np.max(e2, initial=0.0)), _SAFMIN)
+
+
+def _reference_counts(d, e2, shifts):
+    dl, e2l = d.tolist(), e2.tolist()
+    return [oracles.sturm_count(dl, e2l, x, _pivmin(e2)) for x in shifts.tolist()]
+
+
+def _unguarded_count(d, e2, x):
+    """The pivot sign count without the small-pivot guard."""
+    count, q = 0, 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(len(d)):
+            q = np.float64(d[i] - x) - (np.float64(e2[i - 1]) / q if i else 0.0)
+            count += bool(q < 0.0)
+    return count
+
+
+def _integer_matrices():
+    """Small integer (diag, offdiag^2) pairs; integer shifts give exactly zero pivots."""
+    # d = 2, e = -1 at shift 1: zero pivots at rows 1, 4, ..., 127 (the last row of a block)
+    yield np.full(200, 2.0), np.ones(199)
+    rng = np.random.default_rng(5)
+    for dim in (1, 2, 3, 7, 64, 65, 150):
+        for _ in range(4):
+            e = rng.integers(-1, 2, dim - 1).astype(float)
+            yield rng.integers(-2, 3, dim).astype(float), e * e
+
+
+class TestSturmCounts:
+    def test_match_scalar_recurrence_on_large_fdm_grid(self):
+        params = TrmParams(1, 50)
+        op = fdm_hamiltonian(lambda z: trm_potential(params, z), 16001, (0.0, math.pi))
+        d, e2 = op.diag, op.offdiag**2
+        lams = eigenvalues_sturm(op, 8)
+        rng = np.random.default_rng(11)
+        shifts = np.concatenate([
+            rng.uniform(np.min(d) - 2 / op.step**2, np.max(d) + 2 / op.step**2, 24),
+            rng.uniform(lams[0] - 10.0, lams[-1] + 10.0, 24),
+            lams,
+        ])
+        got = _sturm_counts(d, e2, shifts, _pivmin(e2))
+        assert got.tolist() == _reference_counts(d, e2, shifts)
+        # each eigenvalue estimate sits at its own count transition
+        assert all(c in (j - 1, j) for j, c in enumerate(got[-8:].tolist(), start=1))
+
+    def test_zero_pivots_take_the_guarded_path(self):
+        shifts = np.arange(-4.0, 5.0, 0.5)
+        guard_matters = 0
+        for d, e2 in _integer_matrices():
+            want = _reference_counts(d, e2, shifts)
+            assert _sturm_counts(d, e2, shifts, _pivmin(e2)).tolist() == want
+            guard_matters += sum(_unguarded_count(d, e2, x) != w for x, w in zip(shifts.tolist(), want))
+        assert guard_matters > 0, "no case exercised the small-pivot guard"
 
 
 class TestInverseIteration:
@@ -203,7 +268,7 @@ class TestInverseIteration:
         nodes = []
         for lam in lams:
             vec = eigenvector_inverse_iteration(op, lam)
-            nodes.append(count_sign_changes(vec.values, rel_threshold=1e-6))
+            nodes.append(oracles.count_sign_changes(vec.values, rel_threshold=1e-6))
         assert nodes == [0, 1]
 
     def test_overlap_with_closed_forms(self):
@@ -243,12 +308,12 @@ class TestGridHelpers:
             safe_grid(20, margin=10)
 
     def test_count_zeros(self):
-        assert count_zeros(lambda z: np.sin(3 * z), 0.1, math.pi - 0.1) == 2
-        assert count_zeros(lambda z: np.cos(z) * 0 + 1.0, 0.1, 1.0) == 0
+        assert oracles.count_zeros(lambda z: np.sin(3 * z), 0.1, math.pi - 0.1) == 2
+        assert oracles.count_zeros(lambda z: np.cos(z) * 0 + 1.0, 0.1, 1.0) == 0
 
     def test_count_sign_changes_threshold(self):
         vals = np.array([1.0, 1e-14, -1.0, -2.0, 3.0])
-        assert count_sign_changes(vals) == 2
+        assert oracles.count_sign_changes(vals) == 2
 
     def test_sampled_function_norm(self):
         z = safe_grid(5000)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from rosenmorse.numerics import QuadratureSpec, count_zeros, integrate
+from rosenmorse.numerics import QuadratureSpec, integrate
 from rosenmorse.polycore import Polynomial
 from rosenmorse.trm import (
     TrmParams,
@@ -232,7 +232,7 @@ class TestWavefunction:
         params = TrmParams(a, b)
         for n in range(1, 7):
             sol = trm_solution(params, n)
-            nodes = count_zeros(lambda z: trm_wavefunction(sol, z), 1e-3, math.pi - 1e-3)
+            nodes = oracles.count_zeros(lambda z: trm_wavefunction(sol, z), 1e-3, math.pi - 1e-3)
             assert nodes == n - 1, f"n={n}"
 
     def test_pairwise_orthogonality_small(self):
