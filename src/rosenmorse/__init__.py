@@ -39,12 +39,13 @@ from .trm import (
 from .eckart import (
     EckartLevel,
     EckartParams,
+    EckartSolution,
     eckart_normalization,
     eckart_potential,
+    eckart_solution,
     eckart_spectrum,
     eckart_wavefunction,
     jacobi_polynomial,
-    jacobi_real,
 )
 from .susy import (
     PartnerPair,
@@ -52,7 +53,6 @@ from .susy import (
     apply_ladder,
     partner_pair,
     superpotential_from_gst,
-    superpotential_fd,
 )
 from .numerics import (
     IntegralEstimate,

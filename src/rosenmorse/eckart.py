@@ -15,6 +15,11 @@ defined for any real values.
 At n + a = sqrt(b) the decay rate beta_n - (n+a) vanishes: that threshold
 state tends to a constant, is not normalizable and is not a bound level.
 
+A bound state is an `EckartSolution`, built once by `eckart_solution`: level,
+exact P_n, decay rate, norm, and float coefficients converted on first use.
+It is evaluated as a homogeneous power sum in (1+u, 1-u), u = e^{-2z}, by
+Horner's rule (`numerics.power_sum`).
+
 The csch^2 coefficient convention matches the trigonometric module; the
 closed-form level data above pairs exactly with that potential at a = 0,
 which is where all cross-checks against the FDM oracle are pinned.
@@ -26,6 +31,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +69,49 @@ class EckartLevel:
     n: int
     beta: object
     epsilon: object
+
+
+@dataclass(frozen=True)
+class EckartSolution:
+    """One bound state; knorm is the L2 norm of the raw wave function.
+
+    When knorm is present, `wavefunction` returns the unit-normalized state;
+    when absent, the raw closed form.
+    """
+
+    level: EckartLevel
+    params: EckartParams
+    poly: Polynomial
+    knorm: float | None = None
+
+    @cached_property
+    def float_coeffs(self) -> tuple:
+        """Nearest-float coefficients of poly, converted on first use."""
+        return self.poly.to_float().coeffs
+
+    @cached_property
+    def kappa(self) -> float:
+        """Asymptotic decay rate beta_n - (n+a) > 0."""
+        return float(self.level.beta) - (self.level.n + float(self.params.a))
+
+    def wavefunction(self, z):
+        """psi_n(z) for z > 0; scalars or numpy arrays.
+
+        Evaluated in the overflow-free form
+        exp(-kappa z) (1-u)^a 2^{-(n+a)} sum_k p_k (1+u)^k (1-u)^{n-k},  u = e^{-2z},
+        as a homogeneous power sum in (1+u, 1-u) (`numerics.power_sum`).
+        """
+        za = np.asarray(z, dtype=float)
+        if np.any(za <= 0.0):
+            raise ValueError("z must be positive")
+        n, a = self.level.n, float(self.params.a)
+        u = np.exp(-2.0 * za)
+        um = 1.0 - u
+        acc = numerics.power_sum(self.float_coeffs, 1.0 + u, um, n)
+        out = np.exp(-self.kappa * za) * um**a * 2.0 ** (-(n + a)) * acc
+        if self.knorm is not None:
+            out = out / self.knorm
+        return float(out) if np.ndim(z) == 0 else out
 
 
 def _binding(params: EckartParams, n: int) -> bool:
@@ -114,8 +163,9 @@ def jacobi_polynomial(n: int, nu, mu) -> Polynomial:
     """Degree-n Jacobi polynomial as a Polynomial, any real indices.
 
     Built from the terminating sum
-    sum_k C(n+nu, n-k) C(n+mu, k) ((x-1)/2)^k ((x+1)/2)^(n-k),
-    which needs no orthogonality constraints on (nu, mu).
+    2^-n sum_k C(n+nu, n-k) C(n+mu, k) (x-1)^k (x+1)^(n-k),
+    which needs no orthogonality constraints on (nu, mu).  The integer powers
+    of x-1 are a running product and those of x+1 are built once.
     """
     if n < 0:
         raise ValueError("polynomial degree must be non-negative")
@@ -124,60 +174,47 @@ def jacobi_polynomial(n: int, nu, mu) -> Polynomial:
         half = 0.5
     else:
         half = Fraction(1, 2)
-    minus = Polynomial((-half, half))   # (x-1)/2
-    plus = Polynomial((half, half))     # (x+1)/2
+    minus = Polynomial((-1, 1))   # x-1
+    plus = Polynomial((1, 1))     # x+1
+    plus_pows = [Polynomial((1,))]
+    for _ in range(n):
+        plus_pows.append(plus_pows[-1] * plus)
+    minus_pow = Polynomial((1,))
     total = Polynomial()
     for k in range(n + 1):
         coeff = _gen_binomial(n + nu, n - k) * _gen_binomial(n + mu, k)
-        total = total + coeff * (minus**k * plus ** (n - k))
-    return total
+        total = total + coeff * (minus_pow * plus_pows[n - k])
+        minus_pow = minus_pow * minus
+    return total.scale(half**n)
 
 
-def jacobi_real(n: int, nu, mu, x):
-    """Value of the degree-n Jacobi polynomial; exact for exact inputs."""
-    poly = jacobi_polynomial(n, nu, mu)
-    if isinstance(x, (int, Fraction)) and not poly.has_float_scalars:
-        return poly(Fraction(x))
-    xa = np.asarray(x, dtype=float)
-    out = poly.to_float()(xa)
-    return float(out) if np.ndim(x) == 0 else out
+def eckart_solution(params: EckartParams, n: int, normalize: bool = True) -> EckartSolution:
+    """Assemble the level-n bound state; the Jacobi factor is built once.
+
+    The norm comes from quadrature of the raw state, with the integration
+    window cut where the exact exponential tail is far below working precision.
+    """
+    level = eckart_level(params, n)
+    na = n + params.a
+    poly = jacobi_polynomial(n, level.beta - na, -(level.beta + na))
+    raw = EckartSolution(level=level, params=params, poly=poly)
+    if not normalize:
+        return raw
+    cutoff = 60.0 / raw.kappa + 10.0
+    spec = numerics.QuadratureSpec(target_abs_tol=1e-15, target_rel_tol=1e-12, max_refinement=12)
+    est = numerics.integrate(lambda zz: raw.wavefunction(zz) ** 2, 0.0, cutoff, spec)
+    return EckartSolution(level=level, params=params, poly=poly, knorm=math.sqrt(est.require_converged()))
 
 
 def eckart_wavefunction(params: EckartParams, n: int, z):
     """Unnormalized psi_n(z) for z > 0; scalars or numpy arrays.
 
-    Evaluated in the overflow-free form
-    exp(-kappa z) (1-u)^a 2^{-(n+a)} sum_k p_k (1+u)^k (1-u)^{n-k},  u = e^{-2z},
-    with kappa = beta_n - (n+a) > 0 the exact asymptotic decay rate.
+    Builds the level-n solution on every call; evaluate an `EckartSolution`
+    directly to reuse one.
     """
-    level = eckart_level(params, n)
-    za = np.asarray(z, dtype=float)
-    if np.any(za <= 0.0):
-        raise ValueError("z must be positive")
-    a = float(params.a)
-    n = int(n)
-    kappa = float(level.beta) - (n + a)
-    poly = jacobi_polynomial(n, level.beta - n - params.a, -(level.beta + n + params.a))
-    coeffs = [float(c) for c in poly.coeffs]
-    u = np.exp(-2.0 * za)
-    up, um = 1.0 + u, 1.0 - u
-    acc = np.zeros_like(za)
-    for k, c in enumerate(coeffs):
-        acc = acc + c * up**k * um ** (n - k)
-    out = np.exp(-kappa * za) * um**a * 2.0 ** (-(n + a)) * acc
-    return float(out) if np.ndim(z) == 0 else out
-
+    return eckart_solution(params, n, normalize=False).wavefunction(z)
 
 
 def eckart_normalization(params: EckartParams, n: int) -> float:
-    """L2 norm of the unnormalized level-n wave function, by quadrature.
-
-    The integration window is cut where the exact exponential tail is far
-    below working precision.
-    """
-    level = eckart_level(params, n)
-    kappa = float(level.beta) - (n + float(params.a))
-    cutoff = 60.0 / kappa + 10.0
-    spec = numerics.QuadratureSpec(target_abs_tol=1e-15, target_rel_tol=1e-12, max_refinement=12)
-    est = numerics.integrate(lambda zz: eckart_wavefunction(params, n, zz) ** 2, 0.0, cutoff, spec)
-    return math.sqrt(est.require_converged())
+    """L2 norm of the unnormalized level-n wave function, by quadrature."""
+    return eckart_solution(params, n).knorm

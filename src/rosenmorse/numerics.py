@@ -4,7 +4,9 @@ Two workhorses live here: adaptive quadrature (double-exponential by default,
 composite Gauss-Legendre as an alternative) and a finite-difference
 eigensolver for one-dimensional Hamiltonians (3-point Dirichlet
 discretization, Sturm-sequence multisection, inverse iteration for
-eigenvectors).  Everything is deterministic and pure.
+eigenvectors).  Beside them sits `power_sum`, the homogeneous Horner
+evaluator both closed-form wave functions share.  Everything is
+deterministic and pure.
 """
 
 from __future__ import annotations
@@ -221,6 +223,30 @@ def integrate(
     if spec.scheme == "gauss_legendre":
         return _integrate_gauss(call, lo, hi, spec)
     return _integrate_de(call, lo, hi, spec)
+
+
+# -- closed-form evaluation ----------------------------------------------------
+
+
+def power_sum(coeffs, p, q, deg: int):
+    """sum_k coeffs[k] p^k q^(deg-k) by homogeneous Horner; scalars or arrays.
+
+    `deg` is explicit because it may exceed len(coeffs) - 1: a `Polynomial`
+    trims vanishing leading coefficients, but the terms it drops still fix the
+    power of q in every term that remains.  Each coefficient costs two
+    multiplications and one addition per point.
+    """
+    m = len(coeffs)
+    if m > deg + 1:
+        raise ValueError("a homogeneous form of degree deg has at most deg + 1 coefficients")
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    qpow = q ** (deg - m + 1)
+    acc = coeffs[-1] * qpow
+    for c in reversed(coeffs[:-1]):
+        qpow *= q
+        acc *= p
+        acc += c * qpow
+    return acc
 
 
 # -- sampled functions on uniform grids ---------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import SampledFunction
-from .trm import TrmParams, trm_potential, trm_solution, trm_wavefunction
+from .trm import TrmParams, trm_potential
 
 
 @dataclass(frozen=True)
@@ -46,16 +46,6 @@ class Superpotential:
 def superpotential_from_gst(params: TrmParams) -> Superpotential:
     """Closed-form superpotential from the ground state."""
     return Superpotential(params=params, offset=params.b / (params.a + 1), strength=-(params.a + 1))
-
-
-def superpotential_fd(params: TrmParams, z, step: float = 1e-5):
-    """Cross-check variant: -(ln R_1)' by central differences on the closed-form R_1."""
-    sol = trm_solution(params, 1, normalize=False)
-    za = np.asarray(z, dtype=float)
-    up = np.log(np.abs(trm_wavefunction(sol, za + step)))
-    dn = np.log(np.abs(trm_wavefunction(sol, za - step)))
-    out = -(up - dn) / (2.0 * step)
-    return float(out) if np.ndim(z) == 0 else out
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,11 @@ On (0, pi) every level n >= 1 is bound, with
 where C_n is a degree n-1 polynomial produced by the arccot-weight generation
 engine at derivative order n-1.  For rational (a, b) the polynomial and all
 level constants are exact.
+
+A bound state is a `TrmSolution`, built once by `trm_solution`: level, exact
+C_n, norm, and float coefficients converted on first use.  `trm_wavefunction`
+evaluates it as a homogeneous power sum in (cos z, sin z) by Horner's rule
+(`numerics.power_sum`).
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +71,11 @@ class TrmSolution:
     params: TrmParams
     poly: Polynomial
     knorm: float | None = None
+
+    @cached_property
+    def float_coeffs(self) -> tuple:
+        """Nearest-float coefficients of poly, converted on first use."""
+        return self.poly.to_float().coeffs
 
 
 def _check_interval(z):
@@ -135,15 +146,9 @@ def trm_wavefunction(sol: TrmSolution, z):
     which never forms the large cot z powers explicitly.
     """
     za = _check_interval(z)
-    n = sol.level.n
-    a = float(sol.params.a)
-    alpha = float(sol.level.alpha)
-    coeffs = [float(c) for c in sol.poly.coeffs]
     sin, cos = np.sin(za), np.cos(za)
-    acc = np.zeros_like(za)
-    for k, c in enumerate(coeffs):
-        acc = acc + c * cos**k * sin ** (n - 1 - k)
-    out = np.exp(-0.5 * alpha * za) * sin ** (1.0 + a) * acc
+    acc = numerics.power_sum(sol.float_coeffs, cos, sin, sol.level.n - 1)
+    out = np.exp(-0.5 * float(sol.level.alpha) * za) * sin ** (1.0 + float(sol.params.a)) * acc
     if sol.knorm is not None:
         out = out / sol.knorm
     return float(out) if np.ndim(z) == 0 else out

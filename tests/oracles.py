@@ -2,17 +2,22 @@
 
 Everything here is computed from standard identities (three-term recurrences,
 terminating sums, antiderivatives, characteristic polynomials, the one-shift
-Sturm recurrence) and never goes through the generation engine or solvers it
-is used to check.
+Sturm recurrence, high-precision arithmetic) and never goes through the
+generation engine or solvers it is used to check.  The exception is the last
+section: test-only helpers that evaluate the library's own closed forms by
+another route.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
+from rosenmorse.eckart import jacobi_polynomial
 from rosenmorse.polycore import Polynomial
+from rosenmorse.trm import trm_solution, trm_wavefunction
 
 X = Polynomial((0, 1))
 ONE = Polynomial((1,))
@@ -234,3 +239,52 @@ def count_zeros(f, lo: float, hi: float, samples: int = 2001) -> int:
     """Interior zeros of a callable, counted as sign changes on a uniform grid."""
     v = np.asarray(f(np.linspace(lo, hi, samples)), dtype=float)
     return int(np.sum(np.sign(v[1:]) * np.sign(v[:-1]) < 0))
+
+
+# -- high-precision evaluation --------------------------------------------------
+
+
+def trm_raw_mp(coeffs, n: int, a, b, z, dps: int = 80) -> np.ndarray:
+    """Raw R_n(z) = exp(-b z/(n+a)) sin^{n+a} z C_n(cot z) in dps-digit arithmetic.
+
+    `coeffs` are the exact coefficients of C_n; each z is taken as the binary
+    float it is, so the result isolates the error of a float evaluation.
+    """
+    with mpmath.workdps(dps):
+        cs = [mpmath.mpf(c.numerator) / c.denominator for c in map(Fraction, coeffs)]
+        a, b = Fraction(a), Fraction(b)
+        na = n + mpmath.mpf(a.numerator) / a.denominator
+        rate = (mpmath.mpf(b.numerator) / b.denominator) / na
+        out = []
+        for zz in np.asarray(z, dtype=float):
+            zm = mpmath.mpf(float(zz))
+            s = mpmath.sin(zm)
+            x = mpmath.cos(zm) / s
+            acc = mpmath.mpf(0)
+            for c in reversed(cs):
+                acc = acc * x + c
+            out.append(float(mpmath.exp(-rate * zm) * s**na * acc))
+    return np.array(out)
+
+
+# -- test-only helpers over the library's closed forms ------------------------
+
+
+def jacobi_real(n: int, nu, mu, x):
+    """Value of `jacobi_polynomial(n, nu, mu)` at x; exact for exact inputs."""
+    poly = jacobi_polynomial(n, nu, mu)
+    if isinstance(x, (int, Fraction)) and not poly.has_float_scalars:
+        return poly(Fraction(x))
+    xa = np.asarray(x, dtype=float)
+    out = poly.to_float()(xa)
+    return float(out) if np.ndim(x) == 0 else out
+
+
+def superpotential_fd(params, z, step: float = 1e-5):
+    """-(ln R_1)' by central differences on the closed-form R_1."""
+    sol = trm_solution(params, 1, normalize=False)
+    za = np.asarray(z, dtype=float)
+    up = np.log(np.abs(trm_wavefunction(sol, za + step)))
+    dn = np.log(np.abs(trm_wavefunction(sol, za - step)))
+    out = -(up - dn) / (2.0 * step)
+    return float(out) if np.ndim(z) == 0 else out

@@ -7,16 +7,19 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import jacobi_real
+from rosenmorse import eckart
 from rosenmorse.eckart import (
     EckartParams,
     eckart_level,
     eckart_normalization,
     eckart_potential,
+    eckart_solution,
     eckart_spectrum,
     eckart_wavefunction,
     jacobi_polynomial,
-    jacobi_real,
 )
+from rosenmorse.polycore import Polynomial
 
 
 class TestParams:
@@ -150,6 +153,32 @@ class TestWavefunction:
         want = (x - 1) ** ((beta - 2) / 2) * (x + 1) ** (-(beta + 2) / 2) * pn
         assert eckart_wavefunction(params, n, z) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("z", [0.3, 0.8, 1.5, 3.0])
+    def test_matches_printed_form_after_degree_drop(self, z):
+        # at a = 0 the Jacobi leading coefficient vanishes, so P_9 has degree 8;
+        # the (1-u) powers must still follow n = 9
+        params = EckartParams(0, 121)
+        n = 9
+        beta = F(121, 9)
+        assert jacobi_polynomial(n, beta - n, -(beta + n)).degree == n - 1
+        x = 1.0 / math.tanh(z)
+        pn = jacobi_real(n, beta - n, -(beta + n), x)
+        want = (x - 1) ** ((float(beta) - n) / 2) * (x + 1) ** (-(float(beta) + n) / 2) * pn
+        assert eckart_wavefunction(params, n, z) == pytest.approx(want, rel=1e-12)
+
+    def test_normalized_solution_has_unit_norm(self):
+        sol = eckart_solution(EckartParams(F(1, 2), 60), 4)
+        assert sol.knorm == eckart_normalization(EckartParams(F(1, 2), 60), 4)
+        # composite 20-point Gauss-Legendre on [0, 30], apart from the library's quadrature
+        x, w = np.polynomial.legendre.leggauss(20)
+        left = np.arange(0.0, 30.0, 0.25)
+        z = (left[:, None] + 0.125 * (x + 1.0)).ravel()
+        total = np.sum(np.tile(0.125 * w, left.size) * sol.wavefunction(z) ** 2)
+        assert total == pytest.approx(1.0, abs=1e-12)
+        raw = eckart_solution(EckartParams(F(1, 2), 60), 4, normalize=False)
+        assert raw.knorm is None
+        assert sol.wavefunction(0.7) == pytest.approx(raw.wavefunction(0.7) / sol.knorm, rel=1e-15)
+
     def test_asymptotic_decay(self):
         params = EckartParams(0, 50)
         psi1, psi10 = eckart_wavefunction(params, 1, 1.0), eckart_wavefunction(params, 1, 10.0)
@@ -192,3 +221,21 @@ class TestWavefunction:
     def test_domain(self):
         with pytest.raises(ValueError):
             eckart_wavefunction(EckartParams(0, 50), 1, -1.0)
+
+
+class TestSolutionBuiltOnce:
+    def test_one_jacobi_build_per_normalization(self, monkeypatch):
+        calls = []
+        build = eckart.jacobi_polynomial
+        monkeypatch.setattr(eckart, "jacobi_polynomial", lambda *args: calls.append(args) or build(*args))
+        eckart_normalization(EckartParams(F(1, 2), 200), 7)
+        assert len(calls) == 1
+
+    def test_coefficients_converted_once(self, monkeypatch):
+        sol = eckart_solution(EckartParams(0, 50), 3)
+        calls = []
+        to_float = Polynomial.to_float
+        monkeypatch.setattr(Polynomial, "to_float", lambda self: calls.append(1) or to_float(self))
+        for z in (0.5, 1.0, 2.0):
+            sol.wavefunction(z)
+        assert len(calls) == 1

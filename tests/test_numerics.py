@@ -17,6 +17,7 @@ from rosenmorse.numerics import (
     fdm_eigenvalues,
     fdm_hamiltonian,
     integrate,
+    power_sum,
     safe_grid,
     sample,
     _solve_shifted,
@@ -320,3 +321,34 @@ class TestGridHelpers:
         f = SampledFunction(z, np.sin(z))
         assert f.norm() == pytest.approx(math.sqrt(math.pi / 2), rel=1e-4)
         assert f.unit_normalized().norm() == pytest.approx(1.0, rel=1e-12)
+
+
+class TestPowerSum:
+    @staticmethod
+    def direct(coeffs, p, q, deg):
+        return sum(c * p**k * q ** (deg - k) for k, c in enumerate(coeffs))
+
+    @pytest.mark.parametrize("deg,length", [(0, 1), (1, 2), (7, 8), (12, 13), (12, 10), (9, 1)])
+    def test_matches_direct_sum(self, deg, length):
+        # length < deg + 1 is a trimmed list: its missing leading terms still set the q powers;
+        # positive terms leave no cancellation, so both sums agree to rounding
+        rng = np.random.default_rng(deg * 100 + length)
+        coeffs = list(rng.uniform(0.5, 2.0, length))
+        p, q = rng.uniform(0.1, 1.0, 200), rng.uniform(0.1, 1.0, 200)
+        want = self.direct(coeffs, p, q, deg)
+        assert np.max(np.abs(power_sum(coeffs, p, q, deg) - want) / np.abs(want)) < 1e-13
+
+    def test_scalar_arguments(self):
+        got = power_sum([1.0, -2.0, 0.5], 0.3, 0.7, 4)
+        assert got == pytest.approx(self.direct([1.0, -2.0, 0.5], 0.3, 0.7, 4), rel=1e-15)
+
+    @pytest.mark.parametrize("deg", [2, 3])
+    def test_inputs_untouched(self, deg):
+        # the first q power is q^0 or q^1, then updated in place
+        p, q = np.array([0.2, 0.4]), np.array([0.9, 0.8])
+        power_sum([1.0, 2.0, 3.0], p, q, deg)
+        assert p.tolist() == [0.2, 0.4] and q.tolist() == [0.9, 0.8]
+
+    def test_too_many_coefficients_refused(self):
+        with pytest.raises(ValueError):
+            power_sum([1.0, 2.0, 3.0], 0.5, 0.5, 1)

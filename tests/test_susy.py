@@ -7,12 +7,8 @@ import numpy as np
 import pytest
 
 from rosenmorse.numerics import SampledFunction, fdm_eigenvalues, safe_grid, sample
-from rosenmorse.susy import (
-    apply_ladder,
-    partner_pair,
-    superpotential_fd,
-    superpotential_from_gst,
-)
+from oracles import superpotential_fd
+from rosenmorse.susy import apply_ladder, partner_pair, superpotential_from_gst
 from rosenmorse.trm import TrmParams, trm_level, trm_potential, trm_solution, trm_wavefunction
 
 PARAMS = TrmParams(1, 50)

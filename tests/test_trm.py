@@ -245,3 +245,26 @@ class TestWavefunction:
                     0.0, math.pi, QuadratureSpec(target_abs_tol=1e-11),
                 )
                 assert abs(est.require_converged()) < 1e-9
+
+    @pytest.mark.parametrize("n,tol", [(20, 1e-12), (40, 1e-9)])
+    def test_float_evaluation_against_mpmath(self, n, tol):
+        # the exact coefficients evaluated in 80 digits; error relative to the state's maximum
+        a, b = F(1, 4), F(3)
+        sol = trm_solution(TrmParams(a, b), n, normalize=False)
+        z = np.linspace(0.01, math.pi - 0.01, 301)
+        ref = oracles.trm_raw_mp(sol.poly.coeffs, n, a, b, z)
+        dev = np.max(np.abs(trm_wavefunction(sol, z) - ref)) / np.max(np.abs(ref))
+        assert dev < tol
+
+
+class TestSolutionBuiltOnce:
+    def test_coefficients_converted_once(self, monkeypatch):
+        sol = trm_solution(TrmParams(F(1, 4), 3), 6)
+        calls = []
+        to_float = Polynomial.to_float
+        monkeypatch.setattr(Polynomial, "to_float", lambda self: calls.append(1) or to_float(self))
+        z = np.linspace(0.1, 3.0, 50)
+        first = trm_wavefunction(sol, z)
+        for _ in range(20):
+            assert np.array_equal(trm_wavefunction(sol, z), first)
+        assert len(calls) == 1
