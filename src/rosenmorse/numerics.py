@@ -1,9 +1,9 @@
 """Independent numerical oracles.
 
-Two workhorses live here: adaptive quadrature (double-exponential by default,
-composite Gauss-Legendre as an alternative) and a finite-difference
-eigensolver for one-dimensional Hamiltonians (3-point Dirichlet
-discretization, Sturm-sequence multisection, inverse iteration for
+Two workhorses live here: adaptive double-exponential quadrature (scalar
+integrands, or vector ones that give a whole Gram matrix in one pass) and a
+finite-difference eigensolver for one-dimensional Hamiltonians (3-point
+Dirichlet discretization, Sturm-sequence multisection, inverse iteration for
 eigenvectors).  Beside them sits `power_sum`, the homogeneous Horner
 evaluator both closed-form wave functions share.  Everything is
 deterministic and pure.
@@ -25,21 +25,18 @@ _STURM_ROWS = 64      # matrix rows per vectorized block of the pivot recurrence
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Scheme selection and convergence targets for `integrate`.
+    """Convergence targets for `integrate`.
 
     Convergence is reached when the level-to-level change drops below
     max(target_abs_tol, target_rel_tol * |value|); the relative target is off
     by default and useful when the integral's scale is not known in advance.
     """
 
-    scheme: str = "double_exponential"
     target_abs_tol: float = 1e-10
     max_refinement: int = 10
     target_rel_tol: float = 0.0
 
     def __post_init__(self):
-        if self.scheme not in ("double_exponential", "gauss_legendre"):
-            raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
         if not self.target_abs_tol > 0:
             raise ValueError("target_abs_tol must be positive")
         if self.max_refinement < 1:
@@ -47,21 +44,31 @@ class QuadratureSpec:
         if self.target_rel_tol < 0:
             raise ValueError("target_rel_tol must be non-negative")
 
-    def met(self, err: float, value: float) -> bool:
-        return err <= max(self.target_abs_tol, self.target_rel_tol * abs(value))
+    def met(self, err, value):
+        """Whether each error estimate meets the target; elementwise on arrays."""
+        return err <= np.maximum(self.target_abs_tol, self.target_rel_tol * np.abs(value))
 
 
 @dataclass(frozen=True)
 class IntegralEstimate:
-    """Quadrature value with a conservative error estimate."""
+    """Quadrature value with its error estimate and what the quadrature did.
 
-    value: float
-    error: float
-    converged: bool
+    For a scalar integrand `value` and `error` are floats and `converged` a
+    bool; for a vector integrand all three are arrays with one entry per row.
+    `level` counts the trapezoid levels evaluated and `nodes` the points at
+    which the integrand was called, summed over those levels.
+    """
 
-    def require_converged(self) -> float:
-        if not self.converged:
-            raise RuntimeError(f"quadrature did not converge (error estimate {self.error:.3e})")
+    value: object
+    error: object
+    converged: object
+    level: int
+    nodes: int
+
+    def require_converged(self):
+        if not np.all(self.converged):
+            worst = float(np.max(np.where(self.converged, 0.0, self.error)))
+            raise RuntimeError(f"quadrature did not converge (error estimate {worst:.3e})")
         return self.value
 
 
@@ -120,21 +127,42 @@ def _de_map(lo: float, hi: float):
     return nodes
 
 
-def _de_level(call, nodes, h: float, term_tol: float) -> float:
-    """Trapezoid sum over the transformed line at spacing h.
+def _evaluate(call, x, dlo, dhi, rows):
+    """Integrand values at x, refused unless shaped rows + (len(x),).
+
+    `rows` is None on the first call of a level, which fixes it: () for a
+    scalar integrand, (m,) for one with m components.
+    """
+    out = np.asarray(call(x, dlo, dhi), dtype=float)
+    if rows is None and out.ndim in (1, 2):
+        rows = out.shape[:-1]
+    if rows is None or out.shape != rows + x.shape:
+        raise ValueError(
+            f"integrand returned shape {out.shape} at {x.size} points; "
+            "expected one value per point, or one row of them per component"
+        )
+    return out
+
+
+def _de_level(call, nodes, h: float, term_tol: float):
+    """Trapezoid sum over the transformed line at spacing h, and its point count.
 
     Works outward from t = 0 in chunks and stops a side once two consecutive
-    chunks contribute only terms below term_tol; the double-exponential decay
-    of the transformed integrand makes the discarded tail negligible.
+    chunks contribute only terms below term_tol in every row; the
+    double-exponential decay of the transformed integrand makes the discarded
+    tail negligible.
 
     Coarse levels on unbounded domains can push nodes so far out that the
     integrand overflows before its weight kills the product; such a level
-    reports nan and is simply superseded by deeper levels, whose chunk
-    cutoff stops well inside the representable range.
+    reports nan in every row and is simply superseded by deeper levels, whose
+    chunk cutoff stops well inside the representable range.
     """
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         x0, dlo0, dhi0, dx0 = nodes(np.zeros(1))
-        total = float(np.asarray(call(x0, dlo0, dhi0), dtype=float)[0] * dx0[0])
+        head = _evaluate(call, x0, dlo0, dhi0, None)
+        rows = head.shape[:-1]
+        total = head[..., 0] * dx0[0]
+        count = 1
         for sign in (1.0, -1.0):
             j = 1
             quiet = 0
@@ -144,53 +172,36 @@ def _de_level(call, nodes, h: float, term_tol: float) -> float:
                 if t.size == 0:
                     break
                 x, dlo, dhi, dx = nodes(t)
-                terms = np.asarray(call(x, dlo, dhi), dtype=float) * dx
+                terms = _evaluate(call, x, dlo, dhi, rows) * dx
+                count += t.size
                 peak = float(np.max(np.abs(terms)))
                 if not math.isfinite(peak):
-                    return math.nan
-                total += float(np.sum(terms))
+                    return np.full(rows, math.nan), count
+                total += np.sum(terms, axis=-1)
                 quiet = quiet + 1 if peak < term_tol else 0
                 j += _BLOCK
-    return h * total
+    return h * total, count
 
 
 def _integrate_de(call, lo, hi, spec):
     nodes = _de_map(lo, hi)
     h = 0.5
     prev = None
-    value = err = math.nan
-    for _ in range(spec.max_refinement + 1):
+    nodes_run = 0
+    for level in range(1, spec.max_refinement + 2):
         term_tol = spec.target_abs_tol * 1e-2 / (1.0 + h)
-        value = _de_level(call, nodes, h, term_tol)
+        value, points = _de_level(call, nodes, h, term_tol)
+        nodes_run += points
         if prev is not None:
-            err = abs(value - prev)
-            if spec.met(err, value):
-                return IntegralEstimate(value, err, True)
+            err = np.abs(value - prev)
+            met = spec.met(err, value)
+            if np.all(met):
+                break
         prev = value
         h *= 0.5
-    return IntegralEstimate(value, err, False)
-
-
-def _integrate_gauss(call, lo, hi, spec):
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("gauss_legendre scheme requires a finite interval")
-    xg, wg = np.polynomial.legendre.leggauss(16)
-    prev = None
-    value = err = math.nan
-    for level in range(spec.max_refinement + 1):
-        panels = 2**level
-        edges = np.linspace(lo, hi, panels + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        x = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-        w = (half[:, None] * wg[None, :]).ravel()
-        value = float(np.sum(w * np.asarray(call(x, x - lo, hi - x), dtype=float)))
-        if prev is not None:
-            err = abs(value - prev)
-            if spec.met(err, value):
-                return IntegralEstimate(value, err, True)
-        prev = value
-    return IntegralEstimate(value, err, False)
+    if np.ndim(value) == 0:
+        return IntegralEstimate(float(value), float(err), bool(met), level, nodes_run)
+    return IntegralEstimate(value, err, met, level, nodes_run)
 
 
 def integrate(
@@ -200,7 +211,7 @@ def integrate(
     spec: QuadratureSpec | None = None,
     distance_form: bool = False,
 ) -> IntegralEstimate:
-    """Integrate f over (lo, hi); endpoints may be infinite for the DE scheme.
+    """Integrate f over (lo, hi) by the double-exponential rule; endpoints may be infinite.
 
     Plain form: f(x) with x a numpy array of interior points.  With
     distance_form=True, f is called as f(x, dlo, dhi) where dlo/dhi are the
@@ -208,8 +219,20 @@ def integrate(
     endpoint need this form, since the boundary layer thinner than one ulp of
     the endpoint is unreachable through the absolute coordinate alone.
 
-    The reported error is the change between the last two refinement levels,
-    which bounds the true error comfortably on convergent problems.
+    f returns one value per point, or an array of shape (m, len(x)) to
+    integrate m components at once.  A vector integrand shares the node map,
+    the weights and whatever f computes once per chunk among all its rows
+    (a Gram matrix costs one integration, not one per entry); the tail cutoff
+    follows the largest term over all rows, the error estimate is taken row
+    by row, and a level is accepted when every row meets the spec.  The
+    estimate's value, error and converged flags are then arrays, one entry
+    per row; a scalar integrand gets floats and a bool.
+
+    The reported error is the change between the last two refinement levels.
+    It bounds the true error comfortably on smooth convergent problems, but
+    it can read below the true error when the integrand carries round-off
+    noise: each level's nodes contain the previous level's, so noise at the
+    shared nodes cancels in the difference.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -220,8 +243,6 @@ def integrate(
     else:
         def call(x, dlo, dhi):
             return f(x)
-    if spec.scheme == "gauss_legendre":
-        return _integrate_gauss(call, lo, hi, spec)
     return _integrate_de(call, lo, hi, spec)
 
 

@@ -1,8 +1,9 @@
 """Independent oracles for the test suite.
 
 Everything here is computed from standard identities (three-term recurrences,
-terminating sums, antiderivatives, characteristic polynomials, the one-shift
-Sturm recurrence, high-precision arithmetic) and never goes through the
+terminating sums, antiderivatives, exact moments, a fixed composite
+Gauss-Legendre rule, characteristic polynomials, the one-shift Sturm
+recurrence, high-precision arithmetic) and never goes through the
 generation engine or solvers it is used to check.  The exception is the last
 section: test-only helpers that evaluate the library's own closed forms by
 another route.
@@ -239,6 +240,31 @@ def count_zeros(f, lo: float, hi: float, samples: int = 2001) -> int:
     """Interior zeros of a callable, counted as sign changes on a uniform grid."""
     v = np.asarray(f(np.linspace(lo, hi, samples)), dtype=float)
     return int(np.sum(np.sign(v[1:]) * np.sign(v[:-1]) < 0))
+
+
+# -- quadrature -----------------------------------------------------------------
+
+
+def gauss_legendre(f, lo: float, hi: float, panels: int, order: int = 16) -> float:
+    """Composite Gauss-Legendre rule: `panels` equal panels of `order` nodes each."""
+    xg, wg = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(lo, hi, panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    x = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
+    w = (half[:, None] * wg[None, :]).ravel()
+    return float(np.sum(w * np.asarray(f(x), dtype=float)))
+
+
+def unit_interval_gram(polys) -> list:
+    """Exact matrix of int_{-1}^{1} p_i p_j dx, from int x^k dx = 2/(k+1) for even k, 0 for odd k."""
+
+    def inner(p, q):
+        return sum((Fraction(ci) * Fraction(cj) * Fraction(2, k + l + 1)
+                    for k, ci in enumerate(p.coeffs) for l, cj in enumerate(q.coeffs)
+                    if (k + l) % 2 == 0), Fraction(0))
+
+    return [[inner(p, q) for q in polys] for p in polys]
 
 
 # -- high-precision evaluation --------------------------------------------------

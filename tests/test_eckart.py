@@ -170,10 +170,7 @@ class TestWavefunction:
         sol = eckart_solution(EckartParams(F(1, 2), 60), 4)
         assert sol.knorm == eckart_normalization(EckartParams(F(1, 2), 60), 4)
         # composite 20-point Gauss-Legendre on [0, 30], apart from the library's quadrature
-        x, w = np.polynomial.legendre.leggauss(20)
-        left = np.arange(0.0, 30.0, 0.25)
-        z = (left[:, None] + 0.125 * (x + 1.0)).ravel()
-        total = np.sum(np.tile(0.125 * w, left.size) * sol.wavefunction(z) ** 2)
+        total = oracles.gauss_legendre(lambda z: sol.wavefunction(z) ** 2, 0.0, 30.0, 120, order=20)
         assert total == pytest.approx(1.0, abs=1e-12)
         raw = eckart_solution(EckartParams(F(1, 2), 60), 4, normalize=False)
         assert raw.knorm is None

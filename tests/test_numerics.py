@@ -1,6 +1,7 @@
 """Quadrature and finite-difference eigensolver oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from rosenmorse.numerics import (
     sample,
     _solve_shifted,
 )
+from rosenmorse.rodrigues import legendre_weight, rodrigues_generate
 from rosenmorse.trm import TrmParams, trm_potential, trm_solution, trm_wavefunction
 
 
@@ -74,13 +76,11 @@ class TestQuadrature:
         assert dist.value == plain.value
 
     def test_gauss_legendre_scheme(self):
-        spec = QuadratureSpec(scheme="gauss_legendre", target_abs_tol=1e-12)
-        est = integrate(lambda z: np.exp(-2 * z) * np.sin(z) ** 2, 0.0, math.pi, spec)
-        assert est.require_converged() == pytest.approx((1 - math.exp(-2 * math.pi)) / 8, abs=1e-12)
-
-    def test_gauss_legendre_rejects_infinite(self):
-        with pytest.raises(ValueError):
-            integrate(lambda x: np.exp(-x), 0.0, math.inf, QuadratureSpec(scheme="gauss_legendre"))
+        # the composite 16-point rule is a test-side oracle; check it on an antiderivative
+        f = lambda z: np.exp(-2 * z) * np.sin(z) ** 2
+        value = oracles.gauss_legendre(f, 0.0, math.pi, 16)
+        assert value == pytest.approx((1 - math.exp(-2 * math.pi)) / 8, abs=1e-12)
+        assert integrate(f, 0.0, math.pi, TOL12).value == pytest.approx(value, abs=1e-12)
 
     def test_nonconvergence_reported(self):
         spec = QuadratureSpec(target_abs_tol=1e-14, max_refinement=1)
@@ -94,8 +94,8 @@ class TestQuadrature:
             integrate(lambda x: x, 1.0, 1.0)
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(scheme="simpson")
+        with pytest.raises(TypeError):
+            QuadratureSpec(scheme="gauss_legendre")
         with pytest.raises(ValueError):
             QuadratureSpec(target_abs_tol=0.0)
         with pytest.raises(ValueError):
@@ -105,6 +105,86 @@ class TestQuadrature:
         spec = QuadratureSpec(target_abs_tol=1e-300, target_rel_tol=1e-12)
         est = integrate(lambda x: 1e8 * np.exp(-x * x), -math.inf, math.inf, spec)
         assert est.require_converged() == pytest.approx(1e8 * math.sqrt(math.pi), rel=1e-11)
+
+    def test_levels_and_nodes_reported(self):
+        seen = []
+
+        def f(z):
+            seen.append(z.size)
+            return np.sin(z) ** 2
+
+        est = integrate(f, 0.0, math.pi, TOL12)
+        assert (est.level, est.nodes) == (4, 364)
+        assert est.nodes == sum(seen)
+        vec = integrate(lambda z: np.array([np.sin(z) ** 2, np.cos(z) ** 2]), 0.0, math.pi, TOL12)
+        assert (vec.level, vec.nodes) == (4, 364)
+        capped = integrate(lambda x: np.cos(40 * x) ** 2 / np.sqrt(x), 0.0, 1.0,
+                           QuadratureSpec(target_abs_tol=1e-14, max_refinement=3))
+        assert capped.level == 4
+
+
+class TestVectorQuadrature:
+    def test_legendre_gram_against_exact_moments(self):
+        # monic, so the round-off floor of the off-diagonal entries sits below the targets
+        members = [rodrigues_generate(legendre_weight(), m).poly for m in range(9)]
+        members = [Fraction(1) / p.coeffs[-1] * p for p in members]
+        exact = np.array([[float(v) for v in row] for row in oracles.unit_interval_gram(members)])
+        polys = [p.to_float() for p in members]
+        rows, cols = np.triu_indices(len(polys))
+
+        def gram(x):
+            values = np.array([p(x) for p in polys])
+            return values[rows] * values[cols]
+
+        est = integrate(gram, -1.0, 1.0, QuadratureSpec(target_abs_tol=1e-13, target_rel_tol=1e-13))
+        got = est.require_converged()
+        assert got.shape == rows.shape
+        scale = np.sqrt(np.diag(exact)[rows] * np.diag(exact)[cols])
+        assert np.max(np.abs(got - exact[rows, cols]) / scale) < 1e-13
+
+    @pytest.mark.parametrize("group", [
+        [row for row in ANALYTIC_INTEGRALS if row[1:3] == (0.0, math.pi)],
+        [row for row in ANALYTIC_INTEGRALS if row[1:3] == (0.0, math.inf)],
+        [row for row in ANALYTIC_INTEGRALS if row[4]],
+    ], ids=["finite", "half-line", "distance-form"])
+    def test_rows_match_scalar_integrals(self, group):
+        lo, hi, dform = group[0][1], group[0][2], group[0][4]
+        if dform:
+            # the rows need not share an interval: rescale each to (0, 1)
+            lo, hi = 0.0, 1.0
+            parts = [(f, flo, fhi - flo) for f, flo, fhi, _, _ in group]
+
+            def vec(x, dlo, dhi):
+                return np.array([w * f(flo + w * x, w * dlo, w * dhi) for f, flo, w in parts])
+        else:
+            def vec(x):
+                return np.array([f(x) for f, *_ in group])
+
+        est = integrate(vec, lo, hi, TOL12, distance_form=dform)
+        assert est.require_converged().shape == (len(group),)
+        for k, (f, flo, fhi, exact, _) in enumerate(group):
+            scalar = integrate(f, flo, fhi, TOL12, distance_form=dform)
+            # a level is accepted only once every row meets the spec
+            assert est.level >= scalar.level
+            assert est.value[k] == pytest.approx(scalar.value, abs=2e-12)
+            assert est.value[k] == pytest.approx(exact, abs=5e-12)
+
+    @pytest.mark.parametrize("shape", [lambda x: np.zeros(x.size + 1),
+                                       lambda x: np.zeros((x.size, 2)),
+                                       lambda x: np.zeros((2, 2, x.size)),
+                                       lambda x: np.zeros(()),
+                                       lambda x: np.zeros((1 + (x.size > 1), x.size))],
+                             ids=["long", "transposed", "3-d", "scalar", "rows-change"])
+    def test_misshapen_output_refused(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            integrate(shape, 0.0, 1.0)
+
+    def test_require_converged_needs_every_row(self):
+        spec = QuadratureSpec(target_abs_tol=1e-14, max_refinement=3)
+        est = integrate(lambda x: np.array([np.exp(-x * x), np.cos(40 * x) ** 2 / np.sqrt(x)]), 0.0, 1.0, spec)
+        assert est.converged.tolist() == [True, False]
+        with pytest.raises(RuntimeError):
+            est.require_converged()
 
 
 class TestFdmHamiltonian:
