@@ -30,9 +30,8 @@ def _result(name, passed, detail):
     return CheckResult(name=name, passed=bool(passed), detail=detail)
 
 
-def _ode_residual(params: trm.TrmParams, n: int) -> Polynomial:
+def _ode_residual(params: trm.TrmParams, n: int, c: Polynomial) -> Polynomial:
     level = trm.trm_level(params, n)
-    c = trm.trm_polynomial(params, n)
     s = Polynomial((1, 0, 1))
     first = 2 * Polynomial((level.alpha / 2, level.beta))
     zeroth = -level.beta * (1 - level.beta) - params.a * (params.a + 1)
@@ -46,9 +45,9 @@ def suite_polynomials(pairs=DEFAULT_PAIRS, n_max: int = 8) -> list:
         worst_deg = True
         all_zero = True
         for n in range(1, n_max + 1):
-            res = _ode_residual(params, n)
-            all_zero = all_zero and res.is_zero
-            worst_deg = worst_deg and trm.trm_polynomial(params, n).degree == n - 1
+            c = trm.trm_polynomial(params, n)
+            all_zero = all_zero and _ode_residual(params, n, c).is_zero
+            worst_deg = worst_deg and c.degree == n - 1
         out.append(_result(
             f"ode-residual a={a} b={b} n<={n_max}",
             all_zero, "exact residual polynomial = 0" if all_zero else "nonzero residual",

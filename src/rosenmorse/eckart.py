@@ -8,9 +8,11 @@ indices n with 0 < n + a < sqrt(b), each carrying
     x = coth z,
 
 with P_n a degree-n Jacobi polynomial at indices (beta_n-n-a, -(beta_n+n+a)).
-Those indices fall outside the classical orthogonality range, so P_n is built
-from the terminating series, which is polynomial in the indices and therefore
-defined for any real values.
+Those indices fall outside the classical orthogonality range.  P_n is built
+from its differential equation's coefficient recurrence, which is polynomial
+in the indices and therefore defined for any real values; where the leading
+coefficient vanishes (2a an integer in [1-n, 0], so a = 0 among others) P_n
+drops degree and comes from the terminating series instead.
 
 At n + a = sqrt(b) the decay rate beta_n - (n+a) vanishes: that threshold
 state tends to a constant, is not normalizable and is not a bound level.
@@ -37,7 +39,7 @@ import numpy as np
 
 from . import numerics
 from .polycore import Polynomial
-from .rodrigues import _exact
+from .rodrigues import _exact, _ode_member
 
 
 @dataclass(frozen=True)
@@ -159,17 +161,12 @@ def _gen_binomial(alpha, j: int):
     return Fraction(num) / math.factorial(j)
 
 
-def jacobi_polynomial(n: int, nu, mu) -> Polynomial:
-    """Degree-n Jacobi polynomial as a Polynomial, any real indices.
+def _jacobi_sum(n: int, nu, mu) -> Polynomial:
+    """The terminating sum 2^-n sum_k C(n+nu, n-k) C(n+mu, k) (x-1)^k (x+1)^(n-k).
 
-    Built from the terminating sum
-    2^-n sum_k C(n+nu, n-k) C(n+mu, k) (x-1)^k (x+1)^(n-k),
-    which needs no orthogonality constraints on (nu, mu).  The integer powers
-    of x-1 are a running product and those of x+1 are built once.
+    The integer powers of x-1 are a running product and those of x+1 are
+    built once.
     """
-    if n < 0:
-        raise ValueError("polynomial degree must be non-negative")
-    nu, mu = _exact(nu), _exact(mu)
     if isinstance(nu, float) or isinstance(mu, float):
         half = 0.5
     else:
@@ -186,6 +183,26 @@ def jacobi_polynomial(n: int, nu, mu) -> Polynomial:
         total = total + coeff * (minus_pow * plus_pows[n - k])
         minus_pow = minus_pow * minus
     return total.scale(half**n)
+
+
+def jacobi_polynomial(n: int, nu, mu) -> Polynomial:
+    """Degree-n Jacobi polynomial P_n^(nu, mu) as a Polynomial, any real indices.
+
+    It solves s P'' + tau P' + lam P = 0 with s = 1 - x^2 and
+    tau = (mu - nu) - (nu + mu + 2) x, so its coefficients follow from the
+    two-step recurrence of `rodrigues`, run down from the DLMF leading
+    coefficient (n+nu+mu+1)_n / (2^n n!); no orthogonality constraint on
+    (nu, mu) is needed.  When that Pochhammer symbol vanishes the polynomial
+    drops degree (the Eckart factor does so at a = 0 and a = -1/2), and the
+    terminating hypergeometric sum builds it instead.
+    """
+    if n < 0:
+        raise ValueError("polynomial degree must be non-negative")
+    nu, mu = _exact(nu), _exact(mu)
+    lead = _gen_binomial(2 * n + nu + mu, n) / 2**n   # (n+nu+mu+1)_n / (2^n n!)
+    tau = Polynomial((mu - nu, -(nu + mu + 2)))
+    poly = _ode_member(Polynomial((1, 0, -1)), tau, n, lead)
+    return _jacobi_sum(n, nu, mu) if poly is None else poly
 
 
 def eckart_solution(params: EckartParams, n: int, normalize: bool = True) -> EckartSolution:

@@ -449,13 +449,15 @@ def _solve_shifted(d: np.ndarray, e: np.ndarray, shift: float, rhs: np.ndarray) 
     """Solve (T - shift I) x = rhs by LU with partial pivoting.
 
     Row swaps introduce a second superdiagonal; that is the only fill-in.
+    The element-by-element sweeps run over Python lists, which index far
+    faster than numpy arrays and round the same.
     """
     n = len(d)
-    a = (d - shift).astype(float)      # diagonal
-    b = np.zeros(n)                    # first superdiagonal, b[i] = A[i, i+1]
-    b[: n - 1] = e
-    c = np.zeros(n)                    # second superdiagonal fill-in
-    x = rhs.astype(float).copy()
+    a = (d - shift).astype(float).tolist()   # diagonal
+    e = e.tolist()
+    b = e + [0.0]                            # first superdiagonal, b[i] = A[i, i+1]
+    c = [0.0] * n                            # second superdiagonal fill-in
+    x = rhs.astype(float).tolist()
     for i in range(n - 1):
         sub = e[i]                     # A[i+1, i], untouched until this step
         if abs(sub) > abs(a[i]):
@@ -476,7 +478,7 @@ def _solve_shifted(d: np.ndarray, e: np.ndarray, shift: float, rhs: np.ndarray) 
         x[n - 2] = (x[n - 2] - b[n - 2] * x[n - 1]) / a[n - 2]
     for i in range(n - 3, -1, -1):
         x[i] = (x[i] - b[i] * x[i + 1] - c[i] * x[i + 2]) / a[i]
-    return x
+    return np.array(x)
 
 
 def _fix_sign(values: np.ndarray) -> np.ndarray:

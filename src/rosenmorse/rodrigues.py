@@ -2,17 +2,28 @@
 
 A family is specified by a polynomial s(x) of degree at most two and the
 logarithmic derivative w'(x)/w(x) of a weight function.  The m-th member is
-the m-th derivative of w * s**m divided by w; it is produced here by the
-equivalent first-order recursion
+the m-th derivative of w * s**m divided by w (Rodrigues' formula).  It solves
+the self-adjoint second order equation
+
+    s C'' + tau C' + lam C = 0,    tau = (w'/w) s + s',
+
+with eigenvalue lam = -m [t_1 + (m - 1) s_2], where s = s_0 + s_1 x + s_2 x^2
+and tau = t_0 + t_1 x; tau is a polynomial exactly when (w'/w) * s is one.
+Matching the powers of x turns the equation into a two-step recurrence for
+the coefficients c_k of a degree-m member,
+
+    c_k (k - m)(t_1 + s_2 (k + m - 1))
+        = -[(s_1 k + t_0)(k + 1) c_{k+1} + s_0 (k + 2)(k + 1) c_{k+2}],
+
+run down from the Rodrigues leading coefficient
+c_m = prod_{j<m} (t_1 + s_2 (m - 1 + j)) in O(m) scalar operations.  When a
+factor t_1 + s_2 (k + m - 1) vanishes, so does c_m: the Rodrigues member then
+drops degree and is not fixed by the recurrence.  Such members come from the
+first-order recursion
 
     T_0 = 1,    T_{j+1} = (w'/w * s) T_j + (m - j) s' T_j + s T_j',
 
-which stays inside the polynomial ring exactly when (w'/w) * s is a
-polynomial.  Each member solves the self-adjoint second order equation
-
-    s C'' + (w'/w * s + s') C' + lam C = 0
-
-with eigenvalue lam = -m [C_1' + (m - 1) s_2], s_2 the x^2 coefficient of s.
+which costs m polynomial products.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ from fractions import Fraction
 
 import numpy as _np
 
-from .polycore import Polynomial, RationalFunction
+from .polycore import Polynomial, RationalFunction, _sdiv
 
 
 def _exact(v):
@@ -61,17 +72,19 @@ class WeightSpec:
             raise ValueError("s must be a nonzero polynomial of degree <= 2")
         if not self.domain[0] < self.domain[1]:
             raise ValueError("empty weight domain")
-        self.drift()  # the generation recursion must stay inside the polynomial ring
-
-    def drift(self) -> Polynomial:
-        """The polynomial (w'/w) * s; raises if the product leaves the ring."""
+        # the generation recursion must stay inside the polynomial ring
         try:
-            return self.logw.mul_exact(self.s)
+            drift = self.logw.mul_exact(self.s)
         except ValueError:
             raise ValueError(
                 f"weight {self.label!r}: (w'/w) * s is not a polynomial, "
                 "the derivative recursion would leave the polynomial ring"
             ) from None
+        object.__setattr__(self, "_drift", drift)
+
+    def drift(self) -> Polynomial:
+        """The polynomial (w'/w) * s, formed once when the spec is built."""
+        return self._drift
 
     def first_order_coefficient(self) -> Polynomial:
         """Coefficient of C' in the self-adjoint equation: (w'/w) s + s'."""
@@ -87,24 +100,58 @@ class RodriguesResult:
     lam: object
 
 
-def rodrigues_generate(spec: WeightSpec, m: int) -> RodriguesResult:
-    """Unnormalized m-th member of the family described by spec.
+def _ode_member(s: Polynomial, tau: Polynomial, m: int, lead):
+    """Degree-m solution of s C'' + tau C' + lam C = 0 with leading coefficient lead.
 
-    The output is the raw recursion result, sign-flipped when needed so the
-    leading coefficient is positive.  Normalization constants are a separate
-    concern handled by callers.
+    Runs the two-step coefficient recurrence down from c_m = lead.  Returns
+    None when a factor t_1 + s_2 (k + m - 1), k < m, vanishes: the recurrence
+    then does not fix c_k.  Divisions go through `_sdiv`, so exact scalars
+    stay exact.
     """
-    if m < 0:
-        raise ValueError("member index must be non-negative")
+    s0, s1, s2 = s.coeff(0), s.coeff(1), s.coeff(2)
+    t0, t1 = tau.coeff(0), tau.coeff(1)
+    c = [0] * (m + 2)
+    c[m] = lead
+    for k in range(m - 1, -1, -1):
+        factor = t1 + s2 * (k + m - 1)
+        if factor == 0:
+            return None
+        rhs = (s1 * k + t0) * (k + 1) * c[k + 1] + s0 * (k + 2) * (k + 1) * c[k + 2]
+        c[k] = _sdiv(-rhs, (k - m) * factor)
+    return Polynomial(c[: m + 1])
+
+
+def _rodrigues_product(spec: WeightSpec, m: int) -> Polynomial:
+    """The m-th member from the first-order recursion, m polynomial products."""
     q = spec.drift()
     s = spec.s
     ds = s.diff()
     t = Polynomial((1,))
     for j in range(m):
         t = q * t + (m - j) * (ds * t) + s * t.diff()
-    c1 = q + ds
-    lam = -m * (c1.coeff(1) + (m - 1) * s.coeff(2))
-    return RodriguesResult(poly=t.monic_positive(), m=m, lam=lam)
+    return t.monic_positive()
+
+
+def rodrigues_generate(spec: WeightSpec, m: int) -> RodriguesResult:
+    """Unnormalized m-th member of the family described by spec.
+
+    The output is the Rodrigues member, sign-flipped when needed so the
+    leading coefficient is positive.  It is built by the coefficient
+    recurrence from |prod_{j<m} (t_1 + s_2 (m - 1 + j))|; when that product
+    vanishes the member drops degree, and the first-order recursion builds
+    it instead (among the presets, arccot(2,1) at m = 2 and 3).
+    Normalization constants are a separate concern handled by callers.
+    """
+    if m < 0:
+        raise ValueError("member index must be non-negative")
+    tau = spec.first_order_coefficient()
+    t1, s2 = tau.coeff(1), spec.s.coeff(2)
+    lead = math.prod(t1 + s2 * (m - 1 + j) for j in range(m))
+    poly = _ode_member(spec.s, tau, m, abs(lead))
+    if poly is None:
+        poly = _rodrigues_product(spec, m)
+    lam = -m * (t1 + (m - 1) * s2)
+    return RodriguesResult(poly=poly, m=m, lam=lam)
 
 
 def sturm_liouville_residual(spec: WeightSpec, result: RodriguesResult) -> Polynomial:

@@ -1,10 +1,13 @@
 """Hyperbolic reference system: spectrum, Jacobi values, wave functions."""
 
 import math
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from oracles import jacobi_real
@@ -87,6 +90,23 @@ class TestSpectrum:
             na = lvl.n + a
             assert lvl.epsilon + 2 * b == -((na - b / na) ** 2)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.fractions(min_value=F(-15, 16), max_value=4, max_denominator=16),
+        st.integers(min_value=1, max_value=12),
+        st.fractions(min_value=F(-1, 2), max_value=F(1, 2), max_denominator=20),
+    )
+    def test_level_count_is_strict(self, a, k, offset):
+        # b near (k+a)^2, at it when offset = 0: the threshold n = k is not bound
+        b = (k + a) ** 2 + offset
+        assume(b > a * a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            params = EckartParams(a, b)
+        want = [n for n in range(1, 20) if 0 < n + a and (n + a) ** 2 < b]
+        assert [l.n for l in eckart_spectrum(params)] == want
+        assert (k in want) == (offset > 0)
+
     def test_unbound_level_rejected(self):
         with pytest.raises(ValueError):
             eckart_level(EckartParams(0, 50), 8)
@@ -135,6 +155,43 @@ class TestJacobi:
         beta = F(50, 3)
         p = jacobi_polynomial(3, beta - 3, -(beta + 3))
         assert p.degree == 2
+
+    @pytest.mark.parametrize(
+        "a,n,want",
+        [
+            (F(0), 1, Polynomial((50,))),
+            (F(0), 2, Polynomial((F(625, 2), F(-25, 2)))),
+            (F(0), 4, Polynomial((F(131875, 128), F(-15675, 32), F(1875, 32), F(-25, 16)))),
+            (F(-1, 2), 2, Polynomial((F(39991, 72),))),
+            (F(-1, 2), 3, Polynomial((F(2665, 2), F(-1599, 16)))),
+            (F(-1, 2), 4, Polynomial((F(534637599, 307328), F(-332925, 686), F(39951, 1568)))),
+        ],
+    )
+    def test_degenerate_indices_take_terminating_sum(self, a, n, want):
+        # at bound-state indices nu + mu = -2(n+a); the Pochhammer factor
+        # (n + nu + mu + 1)_n vanishes when 2a is an integer in [1-n, 0], and
+        # P_n then loses 1 - 2a degrees
+        b = F(50)
+        beta = b / (n + a)
+        nu, mu = beta - n - a, -(beta + n + a)
+        p = jacobi_polynomial(n, nu, mu)
+        assert p.degree == n - 1 + 2 * a
+        assert p.coeffs == eckart._jacobi_sum(n, nu, mu).coeffs
+        assert p == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.fractions(min_value=F(-15, 16), max_value=4, max_denominator=16),
+        st.integers(min_value=1, max_value=10),
+        st.fractions(min_value=F(1, 10), max_value=60, max_denominator=10),
+    )
+    def test_recurrence_matches_oracle_at_eckart_indices(self, a, n, b):
+        # away from the degenerate indices (2a not an integer) the recurrence
+        # builds every member; the three-term recurrence in n is independent
+        assume((2 * a).denominator != 1)
+        beta = b / (n + a)
+        nu, mu = beta - n - a, -(beta + n + a)
+        assert jacobi_polynomial(n, nu, mu) == oracles.jacobi_rec(n, nu, mu)
 
     def test_float_evaluation(self):
         x = np.array([0.1, 0.5])

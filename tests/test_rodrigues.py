@@ -4,7 +4,11 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rosenmorse import rodrigues
+from rosenmorse.eckart import jacobi_polynomial
 from rosenmorse.polycore import Polynomial, RationalFunction
 from rosenmorse.rodrigues import (
     RodriguesResult,
@@ -21,6 +25,7 @@ from rosenmorse.rodrigues import (
     sturm_liouville_residual,
     table1_presets,
 )
+from rosenmorse.trm import TrmParams, trm_level, trm_polynomial
 
 import oracles
 
@@ -193,3 +198,76 @@ class TestFloatPath:
         got = rodrigues_generate(arccot_weight(2.25, 8.0 / 9.0), 3).poly
         for a, b in zip(exact.coeffs, got.coeffs):
             assert b == pytest.approx(a, rel=1e-12)
+
+
+class TestDegenerateMembers:
+    # arccot(2,1) has tau = 1 - 2x and s_2 = 1, so t_1 + s_2 (k + m - 1) = k + m - 3
+    # vanishes for some k < m exactly at m = 2 and 3: the Rodrigues leading
+    # coefficient is zero there and the member drops degree
+    @pytest.mark.parametrize("m,want", [(2, Polynomial((-1, 2))), (3, Polynomial((5,)))])
+    def test_arccot_member_drops_degree(self, m, want):
+        spec = arccot_weight(2, 1)
+        got = rodrigues_generate(spec, m)
+        assert got.poly == want
+        assert got.poly.coeffs == rodrigues._rodrigues_product(spec, m).coeffs
+        assert sturm_liouville_residual(spec, got).is_zero
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_recurrence_declines(self, m):
+        spec = arccot_weight(2, 1)
+        assert rodrigues._ode_member(spec.s, spec.first_order_coefficient(), m, 1) is None
+
+    @pytest.mark.parametrize("spec", table1_presets(), ids=lambda s: s.label)
+    def test_recurrence_matches_product_route(self, spec):
+        for m in range(0, 13):
+            got = rodrigues_generate(spec, m).poly
+            assert got.coeffs == rodrigues._rodrigues_product(spec, m).coeffs, f"{spec.label} m={m}"
+
+
+class TestIndependentRoutes:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.fractions(min_value=F(-15, 16), max_value=4, max_denominator=16),
+        st.fractions(min_value=-20, max_value=20, max_denominator=6),
+    )
+    def test_trm_members_match_product_route(self, a, b):
+        # C_n from the coefficient recurrence against the first-order Rodrigues recursion
+        params = TrmParams(a, b)
+        for n in range(1, 13):
+            spec = arccot_weight(n + a, trm_level(params, n).alpha)
+            assert trm_polynomial(params, n) == rodrigues._rodrigues_product(spec, n - 1), f"n={n}"
+
+
+class TestNoPolynomialProducts:
+    """The coefficient recurrence makes no polynomial products."""
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        calls = []
+        mul = Polynomial.__mul__
+        monkeypatch.setattr(Polynomial, "__mul__", lambda self, other: calls.append(1) or mul(self, other))
+        return calls
+
+    def test_trm_polynomial(self, products):
+        params = TrmParams(F(1, 3), F(7, 2))
+        spec = arccot_weight(40 + params.a, trm_level(params, 40).alpha)
+        building = len(products)  # the weight forms (w'/w) s once, when it is built
+        products.clear()
+        rodrigues_generate(spec, 39)
+        assert products == []
+        trm_polynomial(params, 40)
+        assert len(products) == building
+
+    def test_jacobi_at_eckart_index(self, products):
+        a, b, n = F(3, 8), F(900), 7
+        beta = b / (n + a)
+        assert jacobi_polynomial(n, beta - n - a, -(beta + n + a)).degree == n
+        assert products == []
+
+    def test_degenerate_member_takes_fallback(self, products):
+        spec = arccot_weight(2, 1)
+        products.clear()
+        rodrigues_generate(spec, 4)
+        assert products == []
+        rodrigues_generate(spec, 3)
+        assert len(products) > 0

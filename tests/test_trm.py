@@ -111,6 +111,17 @@ class TestLevels:
         assert lhs == -(n - 1) * (2 * lvl.beta + n - 2)
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=12),
+        st.fractions(min_value=F(-15, 16), max_value=4, max_denominator=16),
+        st.fractions(min_value=-20, max_value=20, max_denominator=6),
+    )
+    def test_level_shift_to_partner(self, n, a, b):
+        # the SUSY partner at a+1 has the levels of a without the ground state
+        assert trm_level(TrmParams(a + 1, b), n - 1).epsilon == trm_level(TrmParams(a, b), n).epsilon
+
+
 class TestPolynomials:
     def test_level_one_constant(self):
         assert trm_polynomial(TrmParams(0, 1), 1).degree == 0
