@@ -64,5 +64,6 @@ from .numerics import (
     fdm_eigenvalues,
     fdm_hamiltonian,
     integrate,
+    interior_grid,
     safe_grid,
 )

@@ -98,9 +98,7 @@ def suite_fdm(a=Fraction(1), b=Fraction(50), grid: int = 4000, k: int = 5) -> li
     params = trm.TrmParams(a, b)
     pot = lambda z: trm.trm_potential(params, z)
     exact = [float(trm.trm_level(params, n).epsilon) for n in range(1, k + 1)]
-    coarse = numerics.eigenvalues_sturm(numerics.fdm_hamiltonian(pot, grid // 2, (0.0, math.pi)), k)
-    fine = numerics.eigenvalues_sturm(numerics.fdm_hamiltonian(pot, grid + 1, (0.0, math.pi)), k)
-    refined = [(4 * f - c) / 3 for c, f in zip(coarse, fine)]
+    coarse, fine, refined = numerics.fdm_eigenvalues(pot, grid // 2, (0.0, math.pi), k)
     worst = max(abs((r - e) / e) for r, e in zip(refined, exact))
     orders = [math.log2(abs(c - e) / abs(f - e)) for c, f, e in zip(coarse, fine, exact)]
     order_ok = all(1.8 <= o <= 2.2 for o in orders)
@@ -116,18 +114,21 @@ def suite_susy(a=Fraction(1), b=Fraction(50), grid: int = 20000) -> list:
     z = numerics.safe_grid(grid)
     out = []
 
-    f1 = numerics.sample(lambda zz: trm.trm_wavefunction(trm.trm_solution(params, 1), zz), z).unit_normalized()
+    shifted = trm.TrmParams(params.a + 1, params.b)
+    sols = [trm.trm_solution(params, n) for n in range(1, 6)]
+    partners = [trm.trm_solution(shifted, n) for n in range(1, 5)]   # partners[i] pairs with sols[i + 1]
+
+    def samples(sol, points):
+        return numerics.sample(lambda zz: trm.trm_wavefunction(sol, zz), points)
+
+    f1 = samples(sols[0], z).unit_normalized()
     worst = float(np.max(np.abs(susy.apply_ladder("-", u, f1).values)))
     out.append(_result("ground-state annihilation", worst < 1e-7, f"max |A- R_1| = {worst:.3e}"))
 
-    shifted = trm.TrmParams(params.a + 1, params.b)
     worst = 0.0
-    for n in range(2, 6):
-        fn = numerics.sample(lambda zz: trm.trm_wavefunction(trm.trm_solution(params, n), zz), z)
-        low = susy.apply_ladder("-", u, fn).unit_normalized()
-        tgt = numerics.sample(
-            lambda zz: trm.trm_wavefunction(trm.trm_solution(shifted, n - 1), zz), low.z
-        ).unit_normalized()
+    for sol, partner in zip(sols[1:], partners):
+        low = susy.apply_ladder("-", u, samples(sol, z)).unit_normalized()
+        tgt = samples(partner, low.z).unit_normalized()
         dev = min(float(np.max(np.abs(low.values - tgt.values))),
                   float(np.max(np.abs(low.values + tgt.values))))
         worst = max(worst, dev)
@@ -139,9 +140,7 @@ def suite_susy(a=Fraction(1), b=Fraction(50), grid: int = 20000) -> list:
     out.append(_result("riccati identity", res < 1e-10, f"max |U^2 - U' + eps_1 - v| = {res:.3e}"))
 
     exact_shift = all(
-        trm.trm_level(trm.TrmParams(params.a + 1, params.b), n - 1).epsilon
-        == trm.trm_level(params, n).epsilon
-        for n in range(2, 11)
+        trm.trm_level(shifted, n - 1).epsilon == trm.trm_level(params, n).epsilon for n in range(2, 11)
     )
     out.append(_result("exact level shift", exact_shift, "eps_{n-1}(a+1) = eps_n(a) exactly"))
     return out

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__, checks
 from .eckart import EckartParams, eckart_potential, eckart_spectrum
+from .numerics import interior_grid
 from .susy import superpotential_from_gst
 from .trm import TrmParams, trm_polynomial, trm_potential, trm_solution, trm_spectrum, trm_wavefunction
 
@@ -102,10 +103,9 @@ def cmd_poly(args) -> int:
 def cmd_spectrum(args) -> int:
     if args.system == "trm":
         levels = trm_spectrum(TrmParams(args.a, args.b), args.n_max)
-        rows = [(l.n, l.epsilon, float(l.epsilon)) for l in levels]
     else:
         levels = eckart_spectrum(EckartParams(args.a, args.b))
-        rows = [(l.n, l.epsilon, float(l.epsilon)) for l in levels]
+    rows = [(l.n, l.epsilon, float(l.epsilon)) for l in levels]
     if args.format == "text":
         print(f"{args.system} spectrum at a={args.a}, b={args.b}:")
         for n, eps, eps_f in rows:
@@ -117,15 +117,11 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _interior_grid(lo, hi, n):
-    h = (hi - lo) / (n + 1)
-    return lo + h * np.arange(1, n + 1)
-
-
 def _figure_paths(args, which):
-    base = args.output or os.path.join(
-        os.environ.get("ROSENMORSE_OUT_DIR", "."), f"figure_{which.lower()}.{args.format}"
-    )
+    """Curve and level-line paths; '-' sends both tables to stdout, curve first."""
+    base = _out_path(args, f"figure_{which.lower()}.{args.format}")
+    if base == "-":
+        return base, base
     stem, ext = os.path.splitext(base)
     return base, f"{stem}_levels{ext}"
 
@@ -133,10 +129,10 @@ def _figure_paths(args, which):
 def cmd_figure(args) -> int:
     which = args.which.upper()
     fmt_kind = args.format
+    z = interior_grid(args.grid_n, (0.0, args.zmax if which == "I" else math.pi))
     if which == "I":
         params = EckartParams(args.a, args.b)
-        z = _interior_grid(0.0, args.zmax, args.grid_n)
-        rows = [(zi, vi) for zi, vi in zip(z, eckart_potential(params, z))]
+        rows = list(zip(z, eckart_potential(params, z)))
         curve_path, levels_path = _figure_paths(args, which)
         meta = _meta("figure", figure="I", a=args.a, b=args.b, grid_n=args.grid_n, zmax=args.zmax)
         _write_table(curve_path, meta, ("z", "v"), rows, fmt_kind)
@@ -145,7 +141,6 @@ def cmd_figure(args) -> int:
         return 0
     if which == "II":
         params = TrmParams(args.a, args.b)
-        z = _interior_grid(0.0, math.pi, args.grid_n)
         rows = list(zip(z, trm_potential(params, z)))
         curve_path, levels_path = _figure_paths(args, which)
         meta = _meta("figure", figure="II", a=args.a, b=args.b, grid_n=args.grid_n, n_levels=args.n_levels)
@@ -155,7 +150,6 @@ def cmd_figure(args) -> int:
         return 0
     if which == "III":
         params = TrmParams(args.a, args.b)
-        z = _interior_grid(0.0, math.pi, args.grid_n)
         s1 = trm_solution(params, 1, normalize=False)
         s2 = trm_solution(params, 2, normalize=False)
         rows = list(zip(z, trm_wavefunction(s1, z), trm_wavefunction(s2, z)))
@@ -168,7 +162,6 @@ def cmd_figure(args) -> int:
     # mirror image of superpotential_from_gst
     params = TrmParams(args.a, args.b)
     u = superpotential_from_gst(params)
-    z = _interior_grid(0.0, math.pi, args.grid_n)
     rows = list(zip(z, -u(z)))
     path, _ = _figure_paths(args, which)
     meta = _meta("figure", figure="IV", a=args.a, b=args.b, grid_n=args.grid_n)
@@ -239,8 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

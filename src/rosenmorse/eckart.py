@@ -217,10 +217,8 @@ def eckart_solution(params: EckartParams, n: int, normalize: bool = True) -> Eck
     raw = EckartSolution(level=level, params=params, poly=poly)
     if not normalize:
         return raw
-    cutoff = 60.0 / raw.kappa + 10.0
-    spec = numerics.QuadratureSpec(target_abs_tol=1e-15, target_rel_tol=1e-12, max_refinement=12)
-    est = numerics.integrate(lambda zz: raw.wavefunction(zz) ** 2, 0.0, cutoff, spec)
-    return EckartSolution(level=level, params=params, poly=poly, knorm=math.sqrt(est.require_converged()))
+    knorm = numerics.quadrature_norm(raw.wavefunction, 60.0 / raw.kappa + 10.0)
+    return EckartSolution(level=level, params=params, poly=poly, knorm=knorm)
 
 
 def eckart_wavefunction(params: EckartParams, n: int, z):

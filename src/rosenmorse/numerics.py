@@ -4,9 +4,11 @@ Two workhorses live here: adaptive double-exponential quadrature (scalar
 integrands, or vector ones that give a whole Gram matrix in one pass) and a
 finite-difference eigensolver for one-dimensional Hamiltonians (3-point
 Dirichlet discretization, Sturm-sequence multisection, inverse iteration for
-eigenvectors).  Beside them sits `power_sum`, the homogeneous Horner
-evaluator both closed-form wave functions share.  Everything is
-deterministic and pure.
+eigenvectors).  Beside them sit the shared policies every caller uses:
+`quadrature_norm` (the L2 norm of a closed-form state), `power_sum` (the
+homogeneous Horner evaluator both wave functions share), `interior_grid`
+(the uniform grid of the FDM, the figures and `safe_grid`) and the
+Richardson step in `fdm_eigenvalues`.  Everything is deterministic and pure.
 """
 
 from __future__ import annotations
@@ -246,6 +248,12 @@ def integrate(
     return _integrate_de(call, lo, hi, spec)
 
 
+def quadrature_norm(f, hi: float) -> float:
+    """L2 norm of f over (0, hi), to 1e-12 relative; raises if it does not converge."""
+    spec = QuadratureSpec(target_abs_tol=1e-15, target_rel_tol=1e-12, max_refinement=12)
+    return math.sqrt(integrate(lambda z: f(z) ** 2, 0.0, hi, spec).require_converged())
+
+
 # -- closed-form evaluation ----------------------------------------------------
 
 
@@ -296,18 +304,24 @@ class SampledFunction:
         return SampledFunction(self.z, self.values / self.norm())
 
 
-def safe_grid(n: int, domain=(0.0, math.pi), margin: int = 10) -> np.ndarray:
-    """Uniform interior grid keeping `margin` steps clear of both endpoints.
-
-    Step h = (hi - lo)/(n + 1); returned points run from lo + margin*h to
-    hi - margin*h inclusive.
-    """
-    lo, hi = domain
+def interior_grid(n: int, domain) -> np.ndarray:
+    """The n interior points lo + h*k, k = 1..n, with step h = (hi - lo)/(n + 1)."""
+    lo, hi = float(domain[0]), float(domain[1])
     h = (hi - lo) / (n + 1)
-    idx = np.arange(margin, n + 2 - margin)
-    if idx.size < 5:
+    return lo + h * np.arange(1, n + 1)
+
+
+def safe_grid(n: int, domain=(0.0, math.pi), margin: int = 10) -> np.ndarray:
+    """`interior_grid` keeping `margin` steps clear of both endpoints.
+
+    Returned points run from lo + margin*h to hi - margin*h inclusive.
+    """
+    if margin < 1:
+        raise ValueError("margin must be at least one step; use interior_grid for the full grid")
+    z = interior_grid(n, domain)[margin - 1:n + 1 - margin]
+    if z.size < 5:
         raise ValueError("grid too small for the requested margin")
-    return lo + h * idx
+    return z
 
 
 def sample(f, z: np.ndarray) -> SampledFunction:
@@ -346,9 +360,8 @@ def fdm_hamiltonian(v, n: int, domain) -> TridiagonalOperator:
     """
     if n < 16:
         raise ValueError("need at least 16 interior points")
-    lo, hi = float(domain[0]), float(domain[1])
-    h = (hi - lo) / (n + 1)
-    z = lo + h * np.arange(1, n + 1)
+    z = interior_grid(n, domain)
+    h = (float(domain[1]) - float(domain[0])) / (n + 1)
     vz = np.asarray(v(z), dtype=float)
     if not np.all(np.isfinite(vz)):
         raise ValueError("potential is not finite on the interior grid")
@@ -510,14 +523,13 @@ def eigenvector_inverse_iteration(op: TridiagonalOperator, lam: float) -> Sample
     raise RuntimeError("inverse iteration stagnated after 50 steps")
 
 
-def fdm_eigenvalues(v, n: int, domain, k: int, refine: bool = True) -> list:
-    """Lowest k eigenvalues of -d^2/dz^2 + v via the FDM oracle.
+def fdm_eigenvalues(v, n: int, domain, k: int) -> tuple:
+    """Lowest k eigenvalues of -d^2/dz^2 + v via the FDM oracle: (coarse, fine, refined).
 
-    With refine=True the O(h^2) eigenvalues at n and 2n+1 interior points are
-    Richardson-combined, removing the leading truncation term.
+    coarse and fine come from n and 2n+1 interior points, whose steps differ
+    by exactly a factor two; refined is their Richardson combination, which
+    removes the O(h^2) truncation term.
     """
     coarse = eigenvalues_sturm(fdm_hamiltonian(v, n, domain), k)
-    if not refine:
-        return coarse
     fine = eigenvalues_sturm(fdm_hamiltonian(v, 2 * n + 1, domain), k)
-    return [(4.0 * f - c) / 3.0 for c, f in zip(coarse, fine)]
+    return coarse, fine, [(4.0 * f - c) / 3.0 for c, f in zip(coarse, fine)]

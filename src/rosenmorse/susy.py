@@ -27,7 +27,6 @@ from .trm import TrmParams, trm_potential
 class Superpotential:
     """U(z) = offset + strength * cot z, the negated ground-state log-derivative."""
 
-    params: TrmParams
     offset: object
     strength: object
 
@@ -45,7 +44,7 @@ class Superpotential:
 
 def superpotential_from_gst(params: TrmParams) -> Superpotential:
     """Closed-form superpotential from the ground state."""
-    return Superpotential(params=params, offset=params.b / (params.a + 1), strength=-(params.a + 1))
+    return Superpotential(offset=params.b / (params.a + 1), strength=-(params.a + 1))
 
 
 @dataclass(frozen=True)
@@ -57,19 +56,12 @@ class PartnerPair:
 
 
 def partner_pair(params: TrmParams) -> PartnerPair:
-    """Both potentials as callables; v~ - v = 2(a+1) csc^2 z pointwise."""
-    a, b = float(params.a), float(params.b)
-
-    def v(z):
-        return trm_potential(params, z)
-
-    def v_tilde(z):
-        za = np.asarray(z, dtype=float)
-        sin = np.sin(za)
-        out = -2.0 * b * np.cos(za) / sin + (a + 1.0) * (a + 2.0) / sin**2
-        return float(out) if np.ndim(z) == 0 else out
-
-    return PartnerPair(h_potential=v, h_tilde_potential=v_tilde)
+    """Both potentials as callables: v at (a, b) and v~, the same potential at (a+1, b)."""
+    shifted = TrmParams(params.a + 1, params.b)
+    return PartnerPair(
+        h_potential=lambda z: trm_potential(params, z),
+        h_tilde_potential=lambda z: trm_potential(shifted, z),
+    )
 
 
 def apply_ladder(op: str, u: Superpotential, f: SampledFunction) -> SampledFunction:

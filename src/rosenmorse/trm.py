@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -43,10 +42,6 @@ class TrmParams:
             raise ValueError("parameter a must exceed -1")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.a, Fraction) and isinstance(self.b, Fraction)
 
 
 @dataclass(frozen=True)
@@ -169,7 +164,5 @@ def trm_solution(params: TrmParams, n: int, normalize: bool = True) -> TrmSoluti
     if params.a == 0 and params.b != 0:
         knorm = trm_knorm(params.b, n)
     else:
-        spec = numerics.QuadratureSpec(target_abs_tol=1e-15, target_rel_tol=1e-12, max_refinement=12)
-        est = numerics.integrate(lambda zz: trm_wavefunction(raw, zz) ** 2, 0.0, math.pi, spec)
-        knorm = math.sqrt(est.require_converged())
+        knorm = numerics.quadrature_norm(lambda zz: trm_wavefunction(raw, zz), math.pi)
     return TrmSolution(level=level, params=params, poly=poly, knorm=knorm)

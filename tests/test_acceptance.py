@@ -16,8 +16,7 @@ from rosenmorse.cli import main as cli_main
 from rosenmorse.eckart import EckartParams, eckart_potential, eckart_spectrum
 from rosenmorse.numerics import (
     QuadratureSpec,
-    eigenvalues_sturm,
-    fdm_hamiltonian,
+    fdm_eigenvalues,
     integrate,
     safe_grid,
     sample,
@@ -127,9 +126,7 @@ def test_criterion_5_fdm_spectrum_oracle():
         return trm_potential(params, z)
 
     exact = [float(trm_level(params, n).epsilon) for n in range(1, 6)]
-    coarse = eigenvalues_sturm(fdm_hamiltonian(pot, 2000, (0.0, math.pi)), 5)
-    fine = eigenvalues_sturm(fdm_hamiltonian(pot, 4001, (0.0, math.pi)), 5)
-    refined = [(4 * f - c) / 3 for c, f in zip(coarse, fine)]
+    coarse, fine, refined = fdm_eigenvalues(pot, 2000, (0.0, math.pi), 5)
     worst = max(abs((r - e) / e) for r, e in zip(refined, exact))
     assert worst < 1e-5
     orders = [math.log2(abs(c - e) / abs(f - e)) for c, f, e in zip(coarse, fine, exact)]
@@ -189,9 +186,7 @@ def test_criterion_7_eckart_side():
         return eckart_potential(params, z)
 
     exact = [float(l.epsilon) for l in levels[:3]]
-    coarse = eigenvalues_sturm(fdm_hamiltonian(pot, 8000, (0.0, 30.0)), 3)
-    fine = eigenvalues_sturm(fdm_hamiltonian(pot, 16001, (0.0, 30.0)), 3)
-    refined = [(4 * f - c) / 3 for c, f in zip(coarse, fine)]
+    _, _, refined = fdm_eigenvalues(pot, 8000, (0.0, 30.0), 3)
     worst = max(abs((r - e) / e) for r, e in zip(refined, exact))
     assert worst < 1e-3
     budget.done(

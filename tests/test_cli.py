@@ -159,6 +159,15 @@ class TestFigures:
         assert main(["figure", "IV", "--a", "1", "--b", "50"]) == 0
         assert (tmp_path / "figure_iv.csv").exists()
 
+    @pytest.mark.parametrize("which", ["I", "II"])
+    def test_stdout_gets_both_tables_and_no_file(self, which, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["figure", which, "--a", "1", "--b", "50", "--grid-n", "3", "-o", "-"]) == 0
+        assert list(tmp_path.iterdir()) == []
+        out = capsys.readouterr().out
+        assert out.index("z,v\n") < out.index("n,epsilon\n")
+        assert "wrote" not in out
+
     def test_json_mirror(self, tmp_path):
         target = tmp_path / "fig4.json"
         assert main(["figure", "IV", "--a", "1", "--b", "50",
@@ -189,3 +198,17 @@ class TestVerify:
         )
         assert main(["verify", "normalization"]) == 1
         assert "FAIL forced" in capsys.readouterr().out
+
+
+class TestErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["spectrum", "--system", "eckart", "--a", "0", "--b", "0"], "b > a^2"),
+        (["verify", "susy", "--a", "-1", "--b", "5"], "parameter a must exceed -1"),
+        (["verify", "fdm", "--grid", "20"], "need at least 16 interior points"),
+    ])
+    def test_library_refusal_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert "rosenmorse: error: " in captured.err and message in captured.err

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from rosenmorse import checks
 from rosenmorse.numerics import (
     QuadratureSpec,
     SampledFunction,
@@ -18,6 +19,7 @@ from rosenmorse.numerics import (
     fdm_eigenvalues,
     fdm_hamiltonian,
     integrate,
+    interior_grid,
     power_sum,
     safe_grid,
     sample,
@@ -198,21 +200,35 @@ class TestFdmHamiltonian:
         assert np.allclose(op.offdiag, -1 / h**2)
 
     def test_square_well_ground_state(self):
-        vals = fdm_eigenvalues(lambda z: 0.0 * z, 800, (0.0, math.pi), 1, refine=False)
+        vals = eigenvalues_sturm(fdm_hamiltonian(lambda z: 0.0 * z, 800, (0.0, math.pi)), 1)
         assert vals[0] == pytest.approx(1.0, abs=1e-5)
 
     def test_convergence_order_square_well(self):
-        e1 = abs(fdm_eigenvalues(lambda z: 0.0 * z, 400, (0.0, math.pi), 1, refine=False)[0] - 1.0)
-        e2 = abs(fdm_eigenvalues(lambda z: 0.0 * z, 801, (0.0, math.pi), 1, refine=False)[0] - 1.0)
+        e1 = abs(eigenvalues_sturm(fdm_hamiltonian(lambda z: 0.0 * z, 400, (0.0, math.pi)), 1)[0] - 1.0)
+        e2 = abs(eigenvalues_sturm(fdm_hamiltonian(lambda z: 0.0 * z, 801, (0.0, math.pi)), 1)[0] - 1.0)
         order = math.log2(e1 / e2)
         assert 1.8 <= order <= 2.2
 
     def test_trm_lowest_eigenvalue(self):
         params = TrmParams(1, 50)
-        raw = fdm_eigenvalues(lambda z: trm_potential(params, z), 4000, (0.0, math.pi), 1, refine=False)
+        raw = eigenvalues_sturm(fdm_hamiltonian(lambda z: trm_potential(params, z), 4000, (0.0, math.pi)), 1)
         assert raw[0] == pytest.approx(-621.0, rel=1e-4)
-        refined = fdm_eigenvalues(lambda z: trm_potential(params, z), 2000, (0.0, math.pi), 1)
+        _, _, refined = fdm_eigenvalues(lambda z: trm_potential(params, z), 2000, (0.0, math.pi), 1)
         assert refined[0] == pytest.approx(-621.0, rel=1e-6)
+
+    def test_richardson_pair_halves_the_step(self):
+        pot = lambda z: 0.0 * z
+        coarse, fine, refined = fdm_eigenvalues(pot, 400, (0.0, math.pi), 2)
+        assert coarse == eigenvalues_sturm(fdm_hamiltonian(pot, 400, (0.0, math.pi)), 2)
+        assert fine == eigenvalues_sturm(fdm_hamiltonian(pot, 801, (0.0, math.pi)), 2)
+        assert refined == [(4.0 * f - c) / 3.0 for c, f in zip(coarse, fine)]
+        assert fdm_hamiltonian(pot, 801, (0.0, math.pi)).step == fdm_hamiltonian(pot, 400, (0.0, math.pi)).step / 2
+
+    def test_suite_fdm_odd_grid_halves_the_step(self):
+        # an odd grid pairs grid // 2 with 2 (grid // 2) + 1 points, the same as the even grid below it
+        even, odd = checks.suite_fdm(grid=4000), checks.suite_fdm(grid=4001)
+        assert [r.detail for r in odd] == [r.detail for r in even]
+        assert odd[0].detail == "max rel dev = 5.276e-08"
 
     def test_nonfinite_potential_rejected(self):
         with np.errstate(divide="ignore"), pytest.raises(ValueError):
@@ -387,6 +403,17 @@ class TestGridHelpers:
     def test_safe_grid_too_small(self):
         with pytest.raises(ValueError):
             safe_grid(20, margin=10)
+
+    def test_safe_grid_refuses_margin_below_one(self):
+        with pytest.raises(ValueError, match="margin must be at least one step"):
+            safe_grid(1000, margin=0)
+
+    def test_safe_grid_is_interior_grid_sliced(self):
+        assert np.array_equal(interior_grid(4, (0.0, 5.0)), [1.0, 2.0, 3.0, 4.0])
+        for domain in ((0.0, math.pi), (0.0, 30.0), (-1.0, 2.5)):
+            full = interior_grid(500, domain)
+            assert np.array_equal(safe_grid(500, domain, margin=1), full)
+            assert np.array_equal(safe_grid(500, domain, margin=7), full[6:-6])
 
     def test_count_zeros(self):
         assert oracles.count_zeros(lambda z: np.sin(3 * z), 0.1, math.pi - 0.1) == 2

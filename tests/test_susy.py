@@ -109,7 +109,8 @@ class TestPartnerPair:
     def test_partner_equals_shifted_original(self):
         pair = partner_pair(PARAMS)
         z = np.linspace(0.1, math.pi - 0.1, 40)
-        assert np.allclose(pair.h_tilde_potential(z), trm_potential(TrmParams(2, 50), z), rtol=1e-13)
+        assert np.array_equal(pair.h_tilde_potential(z), trm_potential(TrmParams(2, 50), z))
+        assert np.array_equal(pair.h_potential(z), trm_potential(PARAMS, z))
 
 
 class TestFactorization:
@@ -136,7 +137,7 @@ class TestFactorization:
 
     def test_partner_spectrum_against_fdm(self):
         pair = partner_pair(PARAMS)
-        got = fdm_eigenvalues(pair.h_tilde_potential, 1500, (0.0, math.pi), 3)
+        _, _, got = fdm_eigenvalues(pair.h_tilde_potential, 1500, (0.0, math.pi), 3)
         want = [float(trm_level(PARAMS, n).epsilon) for n in (2, 3, 4)]
         for g, w in zip(got, want):
             assert g == pytest.approx(w, rel=1e-4)
