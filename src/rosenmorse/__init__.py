@@ -8,7 +8,7 @@ verify every one of them.
 
 __version__ = "0.1.0"
 
-from .polycore import Polynomial, Rational, RationalFunction
+from .polycore import Polynomial, RationalFunction
 from .rodrigues import (
     RodriguesResult,
     WeightSpec,
@@ -47,13 +47,7 @@ from .eckart import (
     eckart_wavefunction,
     jacobi_polynomial,
 )
-from .susy import (
-    PartnerPair,
-    Superpotential,
-    apply_ladder,
-    partner_pair,
-    superpotential_from_gst,
-)
+from .susy import Superpotential, apply_ladder, superpotential_from_gst
 from .numerics import (
     IntegralEstimate,
     QuadratureSpec,

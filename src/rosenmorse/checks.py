@@ -2,7 +2,8 @@
 
 Each suite recomputes closed forms and measures them against an independent
 route (exact substitution, quadrature, or the finite-difference eigensolver),
-returning one record per check.
+returning one record per check.  A suite's parameters are exactly the
+`verify` options it takes; every other setting is fixed in its body.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from . import numerics, rodrigues, susy, trm
 from .polycore import Polynomial
 
-DEFAULT_PAIRS = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(50)), (Fraction(1, 4), Fraction(1)))
+PAIRS = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(50)), (Fraction(1, 4), Fraction(1)))
 
 
 @dataclass(frozen=True)
@@ -38,9 +39,10 @@ def _ode_residual(params: trm.TrmParams, n: int, c: Polynomial) -> Polynomial:
     return s * c.diff().diff() + first * c.diff() + zeroth * c
 
 
-def suite_polynomials(pairs=DEFAULT_PAIRS, n_max: int = 8) -> list:
+def suite_polynomials() -> list:
+    n_max = 8
     out = []
-    for a, b in pairs:
+    for a, b in PAIRS:
         params = trm.TrmParams(a, b)
         worst_deg = True
         all_zero = True
@@ -59,11 +61,12 @@ def suite_polynomials(pairs=DEFAULT_PAIRS, n_max: int = 8) -> list:
     return out
 
 
-def suite_orthogonality(pairs=DEFAULT_PAIRS, n_max: int = 6, tol: float = 1e-8) -> list:
+def suite_orthogonality() -> list:
+    n_max = 6
     out = []
     spec = numerics.QuadratureSpec(target_abs_tol=1e-10)
     rows, cols = np.triu_indices(n_max)
-    for a, b in pairs:
+    for a, b in PAIRS:
         params = trm.TrmParams(a, b)
         sols = [trm.trm_solution(params, n) for n in range(1, n_max + 1)]
 
@@ -74,7 +77,7 @@ def suite_orthogonality(pairs=DEFAULT_PAIRS, n_max: int = 6, tol: float = 1e-8) 
         est = numerics.integrate(gram, 0.0, math.pi, spec)
         worst = float(np.max(np.abs(est.require_converged() - (rows == cols))))
         out.append(_result(
-            f"gram a={a} b={b} n<={n_max}", worst < tol, f"max |G - I| = {worst:.3e}",
+            f"gram a={a} b={b} n<={n_max}", worst < 1e-8, f"max |G - I| = {worst:.3e}",
         ))
     return out
 
@@ -94,11 +97,14 @@ def suite_normalization() -> list:
     return out
 
 
-def suite_fdm(a=Fraction(1), b=Fraction(50), grid: int = 4000, k: int = 5) -> list:
+def suite_fdm(a=Fraction(1), b=Fraction(50), grid: int = 4000) -> list:
+    if grid < 32:
+        raise ValueError(f"--grid {grid} gives {grid // 2} coarse FDM points; "
+                         "need at least 16 interior points, so --grid must be at least 32")
     params = trm.TrmParams(a, b)
     pot = lambda z: trm.trm_potential(params, z)
-    exact = [float(trm.trm_level(params, n).epsilon) for n in range(1, k + 1)]
-    coarse, fine, refined = numerics.fdm_eigenvalues(pot, grid // 2, (0.0, math.pi), k)
+    exact = [float(trm.trm_level(params, n).epsilon) for n in range(1, 6)]
+    coarse, fine, refined = numerics.fdm_eigenvalues(pot, grid // 2, (0.0, math.pi), len(exact))
     worst = max(abs((r - e) / e) for r, e in zip(refined, exact))
     orders = [math.log2(abs(c - e) / abs(f - e)) for c, f, e in zip(coarse, fine, exact)]
     order_ok = all(1.8 <= o <= 2.2 for o in orders)
@@ -108,10 +114,10 @@ def suite_fdm(a=Fraction(1), b=Fraction(50), grid: int = 4000, k: int = 5) -> li
     ]
 
 
-def suite_susy(a=Fraction(1), b=Fraction(50), grid: int = 20000) -> list:
+def suite_susy(a=Fraction(1), b=Fraction(50)) -> list:
     params = trm.TrmParams(a, b)
     u = susy.superpotential_from_gst(params)
-    z = numerics.safe_grid(grid)
+    z = numerics.safe_grid(20000)
     out = []
 
     shifted = trm.TrmParams(params.a + 1, params.b)
@@ -146,16 +152,16 @@ def suite_susy(a=Fraction(1), b=Fraction(50), grid: int = 20000) -> list:
     return out
 
 
-def suite_classical(m_max: int = 8, tol: float = 1e-10) -> list:
+def suite_classical() -> list:
     out = []
     for spec in rodrigues.table1_presets()[:-1]:
-        members = [rodrigues.rodrigues_generate(spec, m) for m in range(m_max + 1)]
+        members = [rodrigues.rodrigues_generate(spec, m) for m in range(9)]
         residual_ok = all(rodrigues.sturm_liouville_residual(spec, r).is_zero for r in members)
         degree_ok = all(r.poly.degree == r.m for r in members)
         worst = _orthogonality_defect(spec, members)
         out.append(_result(
             f"{spec.label}",
-            residual_ok and degree_ok and worst < tol,
+            residual_ok and degree_ok and worst < 1e-10,
             f"residual exact, max normalized <C_m, C_m'> = {worst:.3e}",
         ))
     return out

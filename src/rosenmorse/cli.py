@@ -10,6 +10,7 @@ rendered with repr, the shortest round-trip form).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -169,14 +170,27 @@ def cmd_figure(args) -> int:
     return 0
 
 
+# verify option -> (parser type, help); a suite takes the options named by its parameters
+VERIFY_OPTIONS = {
+    "a": (rational, "potential parameter a"),
+    "b": (rational, "potential parameter b"),
+    "grid": (positive_int, "FDM grid: the coarse and fine runs use grid//2 and 2(grid//2)+1 points"),
+}
+
+
+def _suite_options(suite):
+    return inspect.signature(suite).parameters
+
+
 def cmd_verify(args) -> int:
+    """Run one suite with the options given; its signature holds the defaults of the rest."""
     suite = checks.SUITES[args.suite]
-    if args.suite == "fdm":
-        results = suite(a=args.a, b=args.b, grid=args.grid)
-    elif args.suite == "susy":
-        results = suite(a=args.a, b=args.b)
-    else:
-        results = suite()
+    given = {opt: getattr(args, opt) for opt in VERIFY_OPTIONS if getattr(args, opt) is not None}
+    takes = _suite_options(suite)
+    for opt in given:
+        if opt not in takes:
+            raise ValueError(f"verify {args.suite} takes no --{opt}")
+    results = suite(**given)
     ok = True
     for r in results:
         ok = ok and r.passed
@@ -223,9 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(checks.SUITES))
-    p.add_argument("--a", type=rational, default=Fraction(1))
-    p.add_argument("--b", type=rational, default=Fraction(50))
-    p.add_argument("--grid", type=positive_int, default=4000)
+    for opt, (kind, text) in VERIFY_OPTIONS.items():
+        takers = [name for name, suite in sorted(checks.SUITES.items()) if opt in _suite_options(suite)]
+        p.add_argument(f"--{opt}", type=kind, help=f"{text}; only for {', '.join(takers)}")
     p.set_defaults(func=cmd_verify)
 
     return parser

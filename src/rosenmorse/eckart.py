@@ -32,13 +32,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from . import numerics
-from .polycore import Polynomial
+from .polycore import Polynomial, _sdiv
 from .rodrigues import _exact, _ode_member
 
 
@@ -153,12 +152,8 @@ def eckart_spectrum(params: EckartParams) -> list:
 
 def _gen_binomial(alpha, j: int):
     """Generalized binomial coefficient alpha over j; exact for exact alpha."""
-    num = 1 if not isinstance(alpha, float) else 1.0
-    for i in range(j):
-        num = num * (alpha - i)
-    if isinstance(num, float):
-        return num / math.factorial(j)
-    return Fraction(num) / math.factorial(j)
+    # start at alpha**0 so that j = 0 keeps alpha's scalar type (1 or 1.0)
+    return _sdiv(math.prod((alpha - i for i in range(j)), start=alpha**0), math.factorial(j))
 
 
 def _jacobi_sum(n: int, nu, mu) -> Polynomial:
@@ -167,10 +162,6 @@ def _jacobi_sum(n: int, nu, mu) -> Polynomial:
     The integer powers of x-1 are a running product and those of x+1 are
     built once.
     """
-    if isinstance(nu, float) or isinstance(mu, float):
-        half = 0.5
-    else:
-        half = Fraction(1, 2)
     minus = Polynomial((-1, 1))   # x-1
     plus = Polynomial((1, 1))     # x+1
     plus_pows = [Polynomial((1,))]
@@ -179,10 +170,10 @@ def _jacobi_sum(n: int, nu, mu) -> Polynomial:
     minus_pow = Polynomial((1,))
     total = Polynomial()
     for k in range(n + 1):
-        coeff = _gen_binomial(n + nu, n - k) * _gen_binomial(n + mu, k)
+        coeff = _sdiv(_gen_binomial(n + nu, n - k) * _gen_binomial(n + mu, k), 2**n)
         total = total + coeff * (minus_pow * plus_pows[n - k])
         minus_pow = minus_pow * minus
-    return total.scale(half**n)
+    return total
 
 
 def jacobi_polynomial(n: int, nu, mu) -> Polynomial:

@@ -13,10 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-# Exact scalar type used for all coefficient work.
-Rational = Fraction
-
-
 def _sdiv(x, y):
     """Scalar division that stays exact for exact scalars."""
     if isinstance(x, float) or isinstance(y, float):

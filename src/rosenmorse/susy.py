@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import SampledFunction
-from .trm import TrmParams, trm_potential
+from .trm import TrmParams
 
 
 @dataclass(frozen=True)
@@ -45,23 +45,6 @@ class Superpotential:
 def superpotential_from_gst(params: TrmParams) -> Superpotential:
     """Closed-form superpotential from the ground state."""
     return Superpotential(offset=params.b / (params.a + 1), strength=-(params.a + 1))
-
-
-@dataclass(frozen=True)
-class PartnerPair:
-    """Potentials of the factorized Hamiltonian and its partner."""
-
-    h_potential: object
-    h_tilde_potential: object
-
-
-def partner_pair(params: TrmParams) -> PartnerPair:
-    """Both potentials as callables: v at (a, b) and v~, the same potential at (a+1, b)."""
-    shifted = TrmParams(params.a + 1, params.b)
-    return PartnerPair(
-        h_potential=lambda z: trm_potential(params, z),
-        h_tilde_potential=lambda z: trm_potential(shifted, z),
-    )
 
 
 def apply_ladder(op: str, u: Superpotential, f: SampledFunction) -> SampledFunction:

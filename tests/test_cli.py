@@ -1,5 +1,6 @@
 """Command-line surface: parsing, file output, determinism, exit codes."""
 
+import inspect
 import json
 import math
 from fractions import Fraction as F
@@ -199,12 +200,29 @@ class TestVerify:
         assert main(["verify", "normalization"]) == 1
         assert "FAIL forced" in capsys.readouterr().out
 
+    def test_defaults_live_in_the_suite(self, capsys):
+        assert main(["verify", "fdm"]) == 0
+        default = capsys.readouterr().out
+        assert main(["verify", "fdm", "--a", "1", "--b", "50", "--grid", "4000"]) == 0
+        assert capsys.readouterr().out == default
+
+    def test_every_suite_parameter_is_a_verify_option(self):
+        # a suite parameter the command line cannot set would be a dead knob
+        from rosenmorse import checks
+
+        for name, suite in checks.SUITES.items():
+            assert set(inspect.signature(suite).parameters) <= {"a", "b", "grid"}, name
+
 
 class TestErrors:
     @pytest.mark.parametrize("argv, message", [
         (["spectrum", "--system", "eckart", "--a", "0", "--b", "0"], "b > a^2"),
         (["verify", "susy", "--a", "-1", "--b", "5"], "parameter a must exceed -1"),
         (["verify", "fdm", "--grid", "20"], "need at least 16 interior points"),
+        (["verify", "fdm", "--grid", "31"], "--grid must be at least 32"),
+        (["verify", "polynomials", "--a", "7"], "verify polynomials takes no --a"),
+        (["verify", "susy", "--grid", "5000"], "verify susy takes no --grid"),
+        (["verify", "classical", "--grid", "100"], "verify classical takes no --grid"),
     ])
     def test_library_refusal_is_a_usage_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as err:

@@ -8,10 +8,11 @@ import pytest
 
 from rosenmorse.numerics import SampledFunction, fdm_eigenvalues, safe_grid, sample
 from oracles import superpotential_fd
-from rosenmorse.susy import apply_ladder, partner_pair, superpotential_from_gst
+from rosenmorse.susy import apply_ladder, superpotential_from_gst
 from rosenmorse.trm import TrmParams, trm_level, trm_potential, trm_solution, trm_wavefunction
 
 PARAMS = TrmParams(1, 50)
+PARTNER = TrmParams(2, 50)   # the partner potential is the original at a+1
 
 
 def unit_samples(sol, z):
@@ -90,27 +91,19 @@ class TestLadder:
 
 class TestPartnerPair:
     def test_gap_is_csc_squared(self):
-        pair = partner_pair(PARAMS)
         z = np.linspace(0.2, math.pi - 0.2, 50)
-        gap = pair.h_tilde_potential(z) - pair.h_potential(z)
+        gap = trm_potential(PARTNER, z) - trm_potential(PARAMS, z)
         assert np.allclose(gap, 2 * 2 / np.sin(z) ** 2, rtol=1e-12)
 
     def test_center_gap_value(self):
-        pair = partner_pair(PARAMS)
-        assert pair.h_tilde_potential(math.pi / 2) - pair.h_potential(math.pi / 2) == pytest.approx(4.0)
+        z = math.pi / 2
+        assert trm_potential(PARTNER, z) - trm_potential(PARAMS, z) == pytest.approx(4.0)
 
     def test_a0_coefficients(self):
-        pair = partner_pair(TrmParams(0, 1))
         z = 0.3
         # v has no csc^2 piece at a = 0; the partner has coefficient 2
-        assert pair.h_potential(z) == pytest.approx(-2.0 / math.tan(z))
-        assert pair.h_tilde_potential(z) == pytest.approx(-2.0 / math.tan(z) + 2.0 / math.sin(z) ** 2)
-
-    def test_partner_equals_shifted_original(self):
-        pair = partner_pair(PARAMS)
-        z = np.linspace(0.1, math.pi - 0.1, 40)
-        assert np.array_equal(pair.h_tilde_potential(z), trm_potential(TrmParams(2, 50), z))
-        assert np.array_equal(pair.h_potential(z), trm_potential(PARAMS, z))
+        assert trm_potential(TrmParams(0, 1), z) == pytest.approx(-2.0 / math.tan(z))
+        assert trm_potential(TrmParams(1, 1), z) == pytest.approx(-2.0 / math.tan(z) + 2.0 / math.sin(z) ** 2)
 
 
 class TestFactorization:
@@ -136,8 +129,7 @@ class TestFactorization:
                 assert trm_level(TrmParams(a + 1, b), n - 1).epsilon == trm_level(TrmParams(a, b), n).epsilon
 
     def test_partner_spectrum_against_fdm(self):
-        pair = partner_pair(PARAMS)
-        _, _, got = fdm_eigenvalues(pair.h_tilde_potential, 1500, (0.0, math.pi), 3)
+        _, _, got = fdm_eigenvalues(lambda z: trm_potential(PARTNER, z), 1500, (0.0, math.pi), 3)
         want = [float(trm_level(PARAMS, n).epsilon) for n in (2, 3, 4)]
         for g, w in zip(got, want):
             assert g == pytest.approx(w, rel=1e-4)
