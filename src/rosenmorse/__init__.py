@@ -8,7 +8,7 @@ verify every one of them.
 
 __version__ = "0.1.0"
 
-from .polycore import Polynomial, RationalFunction
+from .polycore import Polynomial
 from .rodrigues import (
     RodriguesResult,
     WeightSpec,

@@ -12,7 +12,8 @@ Those indices fall outside the classical orthogonality range.  P_n is built
 from its differential equation's coefficient recurrence, which is polynomial
 in the indices and therefore defined for any real values; where the leading
 coefficient vanishes (2a an integer in [1-n, 0], so a = 0 among others) P_n
-drops degree and comes from the terminating series instead.
+drops degree and comes from the Rodrigues product of its weight instead
+(`rodrigues._rodrigues_product`, DLMF 18.5.5).
 
 At n + a = sqrt(b) the decay rate beta_n - (n+a) vanishes: that threshold
 state tends to a constant, is not normalizable and is not a bound level.
@@ -37,8 +38,8 @@ from functools import cached_property
 import numpy as np
 
 from . import numerics
-from .polycore import Polynomial, _sdiv
-from .rodrigues import _exact, _ode_member
+from .polycore import Polynomial, _exact, _sdiv
+from .rodrigues import _ode_member, _rodrigues_product
 
 
 @dataclass(frozen=True)
@@ -150,32 +151,6 @@ def eckart_spectrum(params: EckartParams) -> list:
     return out
 
 
-def _gen_binomial(alpha, j: int):
-    """Generalized binomial coefficient alpha over j; exact for exact alpha."""
-    # start at alpha**0 so that j = 0 keeps alpha's scalar type (1 or 1.0)
-    return _sdiv(math.prod((alpha - i for i in range(j)), start=alpha**0), math.factorial(j))
-
-
-def _jacobi_sum(n: int, nu, mu) -> Polynomial:
-    """The terminating sum 2^-n sum_k C(n+nu, n-k) C(n+mu, k) (x-1)^k (x+1)^(n-k).
-
-    The integer powers of x-1 are a running product and those of x+1 are
-    built once.
-    """
-    minus = Polynomial((-1, 1))   # x-1
-    plus = Polynomial((1, 1))     # x+1
-    plus_pows = [Polynomial((1,))]
-    for _ in range(n):
-        plus_pows.append(plus_pows[-1] * plus)
-    minus_pow = Polynomial((1,))
-    total = Polynomial()
-    for k in range(n + 1):
-        coeff = _sdiv(_gen_binomial(n + nu, n - k) * _gen_binomial(n + mu, k), 2**n)
-        total = total + coeff * (minus_pow * plus_pows[n - k])
-        minus_pow = minus_pow * minus
-    return total
-
-
 def jacobi_polynomial(n: int, nu, mu) -> Polynomial:
     """Degree-n Jacobi polynomial P_n^(nu, mu) as a Polynomial, any real indices.
 
@@ -185,15 +160,22 @@ def jacobi_polynomial(n: int, nu, mu) -> Polynomial:
     coefficient (n+nu+mu+1)_n / (2^n n!); no orthogonality constraint on
     (nu, mu) is needed.  When that Pochhammer symbol vanishes the polynomial
     drops degree (the Eckart factor does so at a = 0 and a = -1/2), and the
-    terminating hypergeometric sum builds it instead.
+    Rodrigues product builds it instead: P_n = (-1)^n / (2^n n!) times the
+    Rodrigues derivative of the weight (1-x)^nu (1+x)^mu, whose drift is
+    (mu - nu) - (nu + mu) x (DLMF 18.5.5).
     """
     if n < 0:
         raise ValueError("polynomial degree must be non-negative")
     nu, mu = _exact(nu), _exact(mu)
-    lead = _gen_binomial(2 * n + nu + mu, n) / 2**n   # (n+nu+mu+1)_n / (2^n n!)
-    tau = Polynomial((mu - nu, -(nu + mu + 2)))
-    poly = _ode_member(Polynomial((1, 0, -1)), tau, n, lead)
-    return _jacobi_sum(n, nu, mu) if poly is None else poly
+    # (n+nu+mu+1)_n / (2^n n!) = binomial(2n+nu+mu, n) / 2^n; starting the
+    # product at top**0 keeps the scalar type at n = 0
+    top = 2 * n + nu + mu
+    lead = _sdiv(math.prod((top - i for i in range(n)), start=top**0), math.factorial(n)) / 2**n
+    s, drift = Polynomial((1, 0, -1)), Polynomial((mu - nu, -(nu + mu)))
+    poly = _ode_member(s, drift + s.diff(), n, lead)
+    if poly is None:
+        poly = _rodrigues_product(s, drift, n).scale(_sdiv((-1) ** n, 2**n * math.factorial(n)))
+    return poly
 
 
 def eckart_solution(params: EckartParams, n: int, normalize: bool = True) -> EckartSolution:

@@ -13,6 +13,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+
+def _exact(v):
+    """Ints become Fractions; Fractions pass through; floats select the float path."""
+    if isinstance(v, bool):
+        raise TypeError("boolean is not a scalar parameter")
+    if isinstance(v, int):
+        return Fraction(v)
+    if isinstance(v, (Fraction, float)):
+        return v
+    raise TypeError(f"unsupported scalar parameter {v!r}")
+
+
 def _sdiv(x, y):
     """Scalar division that stays exact for exact scalars."""
     if isinstance(x, float) or isinstance(y, float):
@@ -186,70 +198,3 @@ class Polynomial:
         for p in parts[1:]:
             out += " - " + p[1:] if p.startswith("-") else " + " + p
         return out
-
-
-def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic greatest common divisor over exact scalars."""
-    if p.has_float_scalars or q.has_float_scalars:
-        raise TypeError("polynomial gcd requires exact scalars")
-    a, b = p, q
-    while not b.is_zero:
-        a, b = b, a % b
-    if a.is_zero:
-        return a
-    return a.scale(_sdiv(1, a.leading))
-
-
-@dataclass(frozen=True)
-class RationalFunction:
-    """Quotient num/den of polynomials.
-
-    Over exact scalars the representation is reduced (no common polynomial
-    factor) and the denominator is monic.
-    """
-
-    num: Polynomial
-    den: Polynomial = Polynomial((1,))
-
-    def __post_init__(self):
-        if self.den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        num, den = self.num, self.den
-        if not (num.has_float_scalars or den.has_float_scalars):
-            if num.is_zero:
-                den = Polynomial((1,))
-            else:
-                g = poly_gcd(num, den)
-                if g.degree > 0:
-                    num, den = num // g, den // g
-                lead = den.leading
-                if lead != 1:
-                    num = num.scale(_sdiv(1, lead))
-                    den = den.scale(_sdiv(1, lead))
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __call__(self, x):
-        return self.num(x) / self.den(x)
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            return RationalFunction(self.num * other, self.den)
-        if isinstance(other, RationalFunction):
-            return RationalFunction(self.num * other.num, self.den * other.den)
-        return NotImplemented
-
-    def mul_exact(self, p: Polynomial) -> Polynomial:
-        """Product with a polynomial, required to land back in the polynomial ring.
-
-        Raises ValueError when den does not divide num * p.
-        """
-        prod = self.num * p
-        quot, rem = divmod(prod, self.den)
-        if prod.has_float_scalars or self.den.has_float_scalars:
-            scale = max((abs(c) for c in prod.coeffs), default=0.0)
-            if any(abs(c) > 1e-9 * (1.0 + scale) for c in rem.coeffs):
-                raise ValueError("rational function product does not reduce to a polynomial")
-        elif not rem.is_zero:
-            raise ValueError("rational function product does not reduce to a polynomial")
-        return quot

@@ -1,16 +1,17 @@
 """Generic engine for orthogonal polynomial families defined by a weight.
 
-A family is specified by a polynomial s(x) of degree at most two and the
-logarithmic derivative w'(x)/w(x) of a weight function.  The m-th member is
-the m-th derivative of w * s**m divided by w (Rodrigues' formula).  It solves
-the self-adjoint second order equation
+A family is specified by a polynomial s(x) of degree at most two and its
+drift (w'/w) s, a polynomial of degree at most one built from the weight w.
+The m-th member is the m-th derivative of w * s**m divided by w (Rodrigues'
+formula).  It solves the self-adjoint second order equation
 
     s C'' + tau C' + lam C = 0,    tau = (w'/w) s + s',
 
 with eigenvalue lam = -m [t_1 + (m - 1) s_2], where s = s_0 + s_1 x + s_2 x^2
-and tau = t_0 + t_1 x; tau is a polynomial exactly when (w'/w) * s is one.
-Matching the powers of x turns the equation into a two-step recurrence for
-the coefficients c_k of a degree-m member,
+and tau = t_0 + t_1 x; a drift of higher degree is refused, since the
+recurrence and lam read only t_0 and t_1.  Matching the powers of x turns
+the equation into a two-step recurrence for the coefficients c_k of a
+degree-m member,
 
     c_k (k - m)(t_1 + s_2 (k + m - 1))
         = -[(s_1 k + t_0)(k + 1) c_{k+1} + s_0 (k + 2)(k + 1) c_{k+2}],
@@ -21,31 +22,20 @@ factor t_1 + s_2 (k + m - 1) vanishes, so does c_m: the Rodrigues member then
 drops degree and is not fixed by the recurrence.  Such members come from the
 first-order recursion
 
-    T_0 = 1,    T_{j+1} = (w'/w * s) T_j + (m - j) s' T_j + s T_j',
+    T_0 = 1,    T_{j+1} = drift T_j + (m - j) s' T_j + s T_j',
 
-which costs m polynomial products.
+which costs two polynomial products per step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as _np
 
-from .polycore import Polynomial, RationalFunction, _sdiv
-
-
-def _exact(v):
-    """Ints become Fractions; Fractions pass through; floats select the float path."""
-    if isinstance(v, bool):
-        raise TypeError("boolean is not a scalar parameter")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, (Fraction, float)):
-        return v
-    raise TypeError(f"unsupported scalar parameter {v!r}")
+from .polycore import Polynomial, _exact, _sdiv
 
 
 @dataclass(frozen=True)
@@ -53,42 +43,37 @@ class WeightSpec:
     """Weight description driving the generation engine.
 
     s: polynomial of degree <= 2.
-    logw: w'(x)/w(x) as a rational function.
+    drift: the polynomial (w'/w) s, of degree <= 1; int coefficients are
+        stored as Fractions.
     domain: orthogonality interval, endpoints possibly infinite.
     weight: optional pointwise evaluator w(x, dlo, dhi) used by orthogonality
         checks, written against the distances to the domain endpoints so that
         endpoint-singular weights stay accurate; the engine itself never
         needs it.
+    tau: the first-order coefficient drift + s', formed once at construction.
     """
 
     s: Polynomial
-    logw: RationalFunction
+    drift: Polynomial
     domain: tuple
     label: str
     weight: object = None
+    tau: Polynomial = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.s.is_zero or self.s.degree > 2:
             raise ValueError("s must be a nonzero polynomial of degree <= 2")
+        if self.drift.degree > 1:
+            raise ValueError(
+                f"weight {self.label!r}: the drift (w'/w) * s has degree "
+                f"{self.drift.degree}; it must have degree <= 1"
+            )
         if not self.domain[0] < self.domain[1]:
             raise ValueError("empty weight domain")
-        # the generation recursion must stay inside the polynomial ring
-        try:
-            drift = self.logw.mul_exact(self.s)
-        except ValueError:
-            raise ValueError(
-                f"weight {self.label!r}: (w'/w) * s is not a polynomial, "
-                "the derivative recursion would leave the polynomial ring"
-            ) from None
-        object.__setattr__(self, "_drift", drift)
-
-    def drift(self) -> Polynomial:
-        """The polynomial (w'/w) * s, formed once when the spec is built."""
-        return self._drift
-
-    def first_order_coefficient(self) -> Polynomial:
-        """Coefficient of C' in the self-adjoint equation: (w'/w) s + s'."""
-        return self.drift() + self.s.diff()
+        # int drift coefficients become Fractions, as every exact parameter does
+        drift = Polynomial(tuple(map(_exact, self.drift.coeffs)))
+        object.__setattr__(self, "drift", drift)
+        object.__setattr__(self, "tau", drift + self.s.diff())
 
 
 @dataclass(frozen=True)
@@ -105,9 +90,12 @@ def _ode_member(s: Polynomial, tau: Polynomial, m: int, lead):
 
     Runs the two-step coefficient recurrence down from c_m = lead.  Returns
     None when a factor t_1 + s_2 (k + m - 1), k < m, vanishes: the recurrence
-    then does not fix c_k.  Divisions go through `_sdiv`, so exact scalars
-    stay exact.
+    then does not fix c_k.  Over exact scalars lead vanishes exactly then; a
+    float lead can round to zero while no factor does, so a zero lead also
+    returns None.  Divisions go through `_sdiv`, so exact scalars stay exact.
     """
+    if lead == 0:
+        return None
     s0, s1, s2 = s.coeff(0), s.coeff(1), s.coeff(2)
     t0, t1 = tau.coeff(0), tau.coeff(1)
     c = [0] * (m + 2)
@@ -121,15 +109,22 @@ def _ode_member(s: Polynomial, tau: Polynomial, m: int, lead):
     return Polynomial(c[: m + 1])
 
 
-def _rodrigues_product(spec: WeightSpec, m: int) -> Polynomial:
-    """The m-th member from the first-order recursion, m polynomial products."""
-    q = spec.drift()
-    s = spec.s
+def _rodrigues_product(s: Polynomial, drift: Polynomial, m: int) -> Polynomial:
+    """The Rodrigues derivative w^-1 (w s^m)^(m) from the first-order recursion.
+
+    Costs two polynomial products per step and needs no division, so it also
+    builds the members that drop degree.  Such a member is small against the
+    terms that cancel in it, so float input runs exactly on its binary values
+    and is rounded once at the end.
+    """
+    floats = s.has_float_scalars or drift.has_float_scalars
+    if floats:
+        s, drift = (Polynomial(tuple(map(Fraction, p.coeffs))) for p in (s, drift))
     ds = s.diff()
     t = Polynomial((1,))
     for j in range(m):
-        t = q * t + (m - j) * (ds * t) + s * t.diff()
-    return t.monic_positive()
+        t = (drift + (m - j) * ds) * t + s * t.diff()
+    return t.to_float() if floats else t
 
 
 def rodrigues_generate(spec: WeightSpec, m: int) -> RodriguesResult:
@@ -144,20 +139,19 @@ def rodrigues_generate(spec: WeightSpec, m: int) -> RodriguesResult:
     """
     if m < 0:
         raise ValueError("member index must be non-negative")
-    tau = spec.first_order_coefficient()
-    t1, s2 = tau.coeff(1), spec.s.coeff(2)
+    t1, s2 = spec.tau.coeff(1), spec.s.coeff(2)
     lead = math.prod(t1 + s2 * (m - 1 + j) for j in range(m))
-    poly = _ode_member(spec.s, tau, m, abs(lead))
+    poly = _ode_member(spec.s, spec.tau, m, abs(lead))
     if poly is None:
-        poly = _rodrigues_product(spec, m)
+        poly = _rodrigues_product(spec.s, spec.drift, m).monic_positive()
     lam = -m * (t1 + (m - 1) * s2)
     return RodriguesResult(poly=poly, m=m, lam=lam)
 
 
 def sturm_liouville_residual(spec: WeightSpec, result: RodriguesResult) -> Polynomial:
-    """Exact residual s C'' + ((w'/w) s + s') C' + lam C; zero for valid members."""
+    """Exact residual s C'' + tau C' + lam C; zero for valid members."""
     c = result.poly
-    return spec.s * c.diff().diff() + spec.first_order_coefficient() * c.diff() + result.lam * c
+    return spec.s * c.diff().diff() + spec.tau * c.diff() + result.lam * c
 
 
 # -- weight presets ----------------------------------------------------------
@@ -169,7 +163,7 @@ def hermite_weight() -> WeightSpec:
     """w = exp(-x^2) on the whole line, s = 1."""
     return WeightSpec(
         s=Polynomial((1,)),
-        logw=RationalFunction(Polynomial((0, -2))),
+        drift=Polynomial((0, -2)),
         domain=(-_INF, _INF),
         label="hermite",
         weight=lambda x, dlo, dhi: _np.exp(-x * x),
@@ -184,7 +178,7 @@ def laguerre_weight(nu) -> WeightSpec:
     nuf = float(nu)
     return WeightSpec(
         s=Polynomial((0, 1)),
-        logw=RationalFunction(Polynomial((nu, -1)), Polynomial((0, 1))),
+        drift=Polynomial((nu, -1)),
         domain=(0.0, _INF),
         label=f"laguerre({nu})",
         weight=lambda x, dlo, dhi: dlo**nuf * _np.exp(-x),
@@ -199,7 +193,7 @@ def jacobi_weight(nu, mu) -> WeightSpec:
     nuf, muf = float(nu), float(mu)
     return WeightSpec(
         s=Polynomial((1, 0, -1)),
-        logw=RationalFunction(Polynomial((mu - nu, -(nu + mu))), Polynomial((1, 0, -1))),
+        drift=Polynomial((mu - nu, -(nu + mu))),
         domain=(-1.0, 1.0),
         label=f"jacobi({nu},{mu})",
         weight=lambda x, dlo, dhi: dhi**nuf * dlo**muf,
@@ -214,7 +208,7 @@ def gegenbauer_weight(lam) -> WeightSpec:
     ex = float(lam) - 0.5
     return WeightSpec(
         s=Polynomial((1, 0, -1)),
-        logw=RationalFunction(Polynomial((0, -(2 * lam - 1))), Polynomial((1, 0, -1))),
+        drift=Polynomial((0, -(2 * lam - 1))),
         domain=(-1.0, 1.0),
         label=f"gegenbauer({lam})",
         weight=lambda x, dlo, dhi: (dlo * dhi) ** ex,
@@ -225,7 +219,7 @@ def legendre_weight() -> WeightSpec:
     """w = 1 on [-1, 1], s = 1 - x^2."""
     return WeightSpec(
         s=Polynomial((1, 0, -1)),
-        logw=RationalFunction(Polynomial()),
+        drift=Polynomial(),
         domain=(-1.0, 1.0),
         label="legendre",
         weight=lambda x, dlo, dhi: _np.ones_like(x),
@@ -236,7 +230,7 @@ def chebyshev1_weight() -> WeightSpec:
     """w = (1-x^2)^(-1/2) on [-1, 1], s = 1 - x^2."""
     return WeightSpec(
         s=Polynomial((1, 0, -1)),
-        logw=RationalFunction(Polynomial((0, 1)), Polynomial((1, 0, -1))),
+        drift=Polynomial((0, 1)),
         domain=(-1.0, 1.0),
         label="chebyshev1",
         weight=lambda x, dlo, dhi: 1.0 / _np.sqrt(dlo * dhi),
@@ -247,7 +241,7 @@ def chebyshev2_weight() -> WeightSpec:
     """w = (1-x^2)^(1/2) on [-1, 1], s = 1 - x^2."""
     return WeightSpec(
         s=Polynomial((1, 0, -1)),
-        logw=RationalFunction(Polynomial((0, -1)), Polynomial((1, 0, -1))),
+        drift=Polynomial((0, -1)),
         domain=(-1.0, 1.0),
         label="chebyshev2",
         weight=lambda x, dlo, dhi: _np.sqrt(dlo * dhi),
@@ -259,7 +253,7 @@ def arccot_weight(mu, c) -> WeightSpec:
 
     Family behind the cotangent-variable bound states; requires mu > 0 so the
     weight decays at both ends.  d(arccot x)/dx = -1/(1+x^2), hence
-    w'/w = (-2 mu x + c) / (1 + x^2).
+    w'/w = (-2 mu x + c) / (1 + x^2) and the drift is c - 2 mu x.
     """
     mu, c = _exact(mu), _exact(c)
     if not mu > 0:
@@ -267,7 +261,7 @@ def arccot_weight(mu, c) -> WeightSpec:
     muf, cf = float(mu), float(c)
     return WeightSpec(
         s=Polynomial((1, 0, 1)),
-        logw=RationalFunction(Polynomial((c, -2 * mu)), Polynomial((1, 0, 1))),
+        drift=Polynomial((c, -2 * mu)),
         domain=(-_INF, _INF),
         label=f"arccot({mu},{c})",
         weight=lambda x, dlo, dhi: (1.0 + x * x) ** (-muf)

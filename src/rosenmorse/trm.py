@@ -25,8 +25,8 @@ from functools import cached_property
 import numpy as np
 
 from . import numerics
-from .polycore import Polynomial
-from .rodrigues import arccot_weight, rodrigues_generate, _exact
+from .polycore import Polynomial, _exact
+from .rodrigues import arccot_weight, rodrigues_generate
 
 
 @dataclass(frozen=True)

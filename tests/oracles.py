@@ -11,13 +11,14 @@ another route.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 
 from rosenmorse.eckart import jacobi_polynomial
-from rosenmorse.polycore import Polynomial
+from rosenmorse.polycore import Polynomial, _sdiv
 from rosenmorse.trm import trm_solution, trm_wavefunction
 
 X = Polynomial((0, 1))
@@ -75,6 +76,33 @@ def jacobi_rec(m: int, nu, mu) -> Polynomial:
         return Fraction(1, c) * (mid - low)
 
     return _recurrence(m, ONE, p1, step)
+
+
+def _gen_binomial(alpha, j: int):
+    """Generalized binomial coefficient alpha over j; exact for exact alpha."""
+    # start at alpha**0 so that j = 0 keeps alpha's scalar type (1 or 1.0)
+    return _sdiv(math.prod((alpha - i for i in range(j)), start=alpha**0), math.factorial(j))
+
+
+def jacobi_sum(n: int, nu, mu) -> Polynomial:
+    """The terminating sum 2^-n sum_k C(n+nu, n-k) C(n+mu, k) (x-1)^k (x+1)^(n-k).
+
+    Valid for any indices, including those where P_n drops degree.  The
+    integer powers of x-1 are a running product and those of x+1 are built
+    once.
+    """
+    minus = Polynomial((-1, 1))   # x-1
+    plus = Polynomial((1, 1))     # x+1
+    plus_pows = [ONE]
+    for _ in range(n):
+        plus_pows.append(plus_pows[-1] * plus)
+    minus_pow = ONE
+    total = Polynomial()
+    for k in range(n + 1):
+        coeff = _sdiv(_gen_binomial(n + nu, n - k) * _gen_binomial(n + mu, k), 2**n)
+        total = total + coeff * (minus_pow * plus_pows[n - k])
+        minus_pow = minus_pow * minus
+    return total
 
 
 def gegenbauer_rec(m: int, lam) -> Polynomial:

@@ -4,11 +4,14 @@ import inspect
 import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rosenmorse.cli import main, rational
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def read_rows(path):
@@ -103,6 +106,24 @@ class TestSpectrum:
                      "--format", "csv", "-o", str(target)]) == 0
         _, _, rows = read_rows(target)
         assert rows[:, 2] == pytest.approx([-621.0, -2419.0 / 9])
+
+
+class TestGolden:
+    """Exact outputs pinned byte for byte; none carries quadrature or FDM round-off."""
+
+    RUNS = {
+        "poly_a1-3_b7-2_n12.txt": "poly --a 1/3 --b 7/2 --n 12",
+        "poly_a1-3_b7-2_n12.json": "poly --a 1/3 --b 7/2 --n 12 --format json -o -",
+        "spectrum_trm_a1_b50_n5.txt": "spectrum --system trm --a 1 --b 50 --n-max 5",
+        "spectrum_eckart_a0_b50.csv": "spectrum --system eckart --a 0 --b 50 --format csv -o -",
+    }
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_output_matches_golden(self, name, capsys):
+        assert main(self.RUNS[name].split()) == 0
+        out, err = capsys.readouterr()
+        assert out == (GOLDEN / name).read_text()
+        assert err == ""
 
 
 class TestFigures:

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -126,6 +126,13 @@ class TestSpectrum:
         assert math.isfinite(eckart_normalization(EckartParams(0, 100), 9))
 
 
+def assert_float_image(got, exact):
+    """Each coefficient within 1e-13 of the exact one, relative to the largest exact coefficient."""
+    scale = max((abs(c) for c in exact.coeffs), default=0)
+    for i in range(max(len(exact.coeffs), len(got.coeffs))):
+        assert abs(got.coeff(i) - float(exact.coeff(i))) <= 1e-13 * scale, f"x^{i}"
+
+
 class TestJacobi:
     def test_degree_zero(self):
         assert jacobi_real(0, F(3, 7), F(-12, 5), F(2, 3)) == 1
@@ -176,8 +183,52 @@ class TestJacobi:
         nu, mu = beta - n - a, -(beta + n + a)
         p = jacobi_polynomial(n, nu, mu)
         assert p.degree == n - 1 + 2 * a
-        assert p.coeffs == eckart._jacobi_sum(n, nu, mu).coeffs
+        assert p.coeffs == oracles.jacobi_sum(n, nu, mu).coeffs
         assert p == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.fractions(min_value=-20, max_value=20, max_denominator=60),
+        st.integers(min_value=1, max_value=11),
+        st.integers(min_value=0, max_value=10),
+    )
+    @example(nu=F(-4), n=5, j=0)  # P_5 vanishes identically here
+    def test_degenerate_indices_match_terminating_sum(self, nu, n, j):
+        # mu = -nu - n - 1 - j zeroes (n + nu + mu + 1)_n, so P_n is a multiple
+        # of P_j and the Rodrigues product builds it
+        assume(j < n)
+        mu = -nu - n - 1 - j
+        p = jacobi_polynomial(n, nu, mu)
+        assert p == oracles.jacobi_sum(n, nu, mu)
+        assert p.degree <= j and not p.has_float_scalars
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=-20 * 64, max_value=20 * 64),
+        st.integers(min_value=1, max_value=11),
+        st.integers(min_value=0, max_value=10),
+    )
+    # near a negative integer nu the member is small against the terms that
+    # cancel in it: a float-only product recursion misses here by 2.2e-13
+    @example(k=-447, n=11, j=0)
+    def test_degenerate_float_path_matches_exact(self, k, n, j):
+        # nu = k/64 and mu are exact binary floats, so the float path meets the
+        # same vanishing factor
+        assume(j < n)
+        nu = F(k, 64)
+        mu = -nu - n - 1 - j
+        assert_float_image(jacobi_polynomial(n, float(nu), float(mu)), jacobi_polynomial(n, nu, mu))
+
+    def test_float_lead_rounding_to_zero_takes_fallback(self):
+        # at a = -1/2, b = 50, n = 4 in floats the DLMF leading coefficient
+        # rounds to exactly 0 while no recurrence factor does; running the
+        # recurrence from that zero would return the zero polynomial
+        n, a, b = 4, -0.5, 50.0
+        beta = b / (n + a)
+        beta_x = F(b) / (n + F(a))
+        exact = jacobi_polynomial(n, beta_x - n - F(a), -(beta_x + n + F(a)))
+        assert exact.degree == 2
+        assert_float_image(jacobi_polynomial(n, beta - n - a, -(beta + n + a)), exact)
 
     @settings(max_examples=40, deadline=None)
     @given(

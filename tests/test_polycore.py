@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rosenmorse.polycore import Polynomial, RationalFunction, poly_gcd
+from rosenmorse.polycore import Polynomial
 
 P = Polynomial
 
@@ -129,39 +129,3 @@ class TestFloatPath:
     def test_float_eval(self):
         p = P((1.0, 0.0, -1.0))
         assert p(0.5) == pytest.approx(0.75)
-
-
-class TestRationalFunction:
-    def test_reduction_removes_common_factor(self):
-        num = P((F(-1), F(0), F(1)))      # x^2 - 1
-        den = P((F(1), F(1)))             # x + 1
-        rf = RationalFunction(num, den)
-        assert rf.den == P((1,))
-        assert rf.num == P((-1, 1))
-
-    def test_den_made_monic(self):
-        rf = RationalFunction(P((F(2),)), P((F(0), F(2))))
-        assert rf.den == P((0, 1))
-        assert rf.num == P((1,))
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            RationalFunction(P((1,)), P())
-
-    def test_coprime_after_construction(self):
-        rf = RationalFunction(P((F(0), F(2), F(2))), P((F(0), F(0), F(4))))
-        assert poly_gcd(rf.num, rf.den).degree == 0
-
-    def test_mul_exact_divides(self):
-        rf = RationalFunction(P((F(1),)), P((F(1), F(1))))   # 1/(1+x)
-        out = rf.mul_exact(P((F(1), F(0), F(-1))) * P((1,)))  # (1-x^2)/(1+x)
-        assert out == P((1, -1))
-
-    def test_mul_exact_rejects_nondivisible(self):
-        rf = RationalFunction(P((F(1),)), P((F(2), F(1))))   # 1/(2+x)
-        with pytest.raises(ValueError):
-            rf.mul_exact(P((F(1), F(0), F(-1))))
-
-    def test_call(self):
-        rf = RationalFunction(P((F(1),)), P((F(1), F(0), F(1))))
-        assert rf(F(1)) == F(1, 2)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rosenmorse import rodrigues
 from rosenmorse.eckart import jacobi_polynomial
-from rosenmorse.polycore import Polynomial, RationalFunction
+from rosenmorse.polycore import Polynomial
 from rosenmorse.rodrigues import (
     RodriguesResult,
     WeightSpec,
@@ -127,25 +127,28 @@ class TestPresets:
     def test_legendre_shape(self):
         spec = legendre_weight()
         assert spec.s == Polynomial((1, 0, -1))
-        assert spec.logw.num.is_zero
+        assert spec.drift.is_zero
         assert spec.domain == (-1.0, 1.0)
 
     def test_jacobi_logw(self):
         spec = jacobi_weight(NU, MU)
-        # (-nu(1+x) + mu(1-x)) / (1-x^2), reduced representation allowed
-        want = RationalFunction(
-            Polynomial((MU - NU, -(NU + MU))), Polynomial((1, 0, -1))
-        )
-        assert spec.logw == want
+        # drift (w'/w) s = -nu(1+x) + mu(1-x)
+        assert spec.drift == Polynomial((MU - NU, -(NU + MU)))
         assert spec.s == Polynomial((1, 0, -1))
 
     def test_arccot_logw(self):
         mu, b = F(2), F(1)
         spec = arccot_weight(mu, 2 * b / mu)
         assert spec.s == Polynomial((1, 0, 1))
-        assert spec.logw.num == Polynomial((2 * b / mu, -2 * mu))
-        assert spec.logw.den == Polynomial((1, 0, 1))
+        # drift (w'/w) s = c - 2 mu x
+        assert spec.drift == Polynomial((2 * b / mu, -2 * mu))
         assert spec.domain == (-math.inf, math.inf)
+
+    def test_int_drift_becomes_fractions(self):
+        # members and eigenvalues keep Fraction scalars on the exact path
+        spec = hermite_weight()
+        assert all(isinstance(c, F) for c in spec.drift.coeffs + spec.tau.coeffs)
+        assert isinstance(rodrigues_generate(spec, 3).lam, F)
 
     def test_parameter_constraints(self):
         with pytest.raises(ValueError):
@@ -163,20 +166,20 @@ class TestPresets:
         with pytest.raises(ValueError):
             WeightSpec(
                 s=Polynomial((1, 0, 0, 1)),
-                logw=RationalFunction(Polynomial()),
+                drift=Polynomial(),
                 domain=(-1.0, 1.0),
                 label="cubic",
             )
 
-    def test_nonpolynomial_drift_rejected(self):
-        # (1 - x^2)/(2 + x) has a remainder, so the recursion cannot stay
-        # polynomial; such weights are rejected as soon as they are built
-        with pytest.raises(ValueError, match="polynomial ring"):
+    def test_drift_above_degree_one_rejected(self):
+        # w'/w = x^3/(1+x^2) gives the drift x^3; the recurrence and lam read
+        # only t_0 and t_1, so such a spec would yield members off their ODE
+        with pytest.raises(ValueError, match="degree 3"):
             WeightSpec(
-                s=Polynomial((F(1), F(0), F(-1))),
-                logw=RationalFunction(Polynomial((F(1),)), Polynomial((F(2), F(1)))),
-                domain=(-1.0, 1.0),
-                label="bad",
+                s=Polynomial((1, 0, 1)),
+                drift=Polynomial((0, 0, 0, 1)),
+                domain=(-math.inf, math.inf),
+                label="cubic drift",
             )
 
 
@@ -185,7 +188,7 @@ class TestFloatPath:
         exact = rodrigues_generate(legendre_weight(), 6).poly.to_float()
         float_spec = WeightSpec(
             s=Polynomial((1.0, 0.0, -1.0)),
-            logw=RationalFunction(Polynomial(), Polynomial((1.0,))),
+            drift=Polynomial(),
             domain=(-1.0, 1.0),
             label="legendre-float",
         )
@@ -209,19 +212,21 @@ class TestDegenerateMembers:
         spec = arccot_weight(2, 1)
         got = rodrigues_generate(spec, m)
         assert got.poly == want
-        assert got.poly.coeffs == rodrigues._rodrigues_product(spec, m).coeffs
+        want_product = rodrigues._rodrigues_product(spec.s, spec.drift, m).monic_positive()
+        assert got.poly.coeffs == want_product.coeffs
         assert sturm_liouville_residual(spec, got).is_zero
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_recurrence_declines(self, m):
         spec = arccot_weight(2, 1)
-        assert rodrigues._ode_member(spec.s, spec.first_order_coefficient(), m, 1) is None
+        assert rodrigues._ode_member(spec.s, spec.tau, m, 1) is None
 
     @pytest.mark.parametrize("spec", table1_presets(), ids=lambda s: s.label)
     def test_recurrence_matches_product_route(self, spec):
         for m in range(0, 13):
             got = rodrigues_generate(spec, m).poly
-            assert got.coeffs == rodrigues._rodrigues_product(spec, m).coeffs, f"{spec.label} m={m}"
+            want = rodrigues._rodrigues_product(spec.s, spec.drift, m).monic_positive()
+            assert got.coeffs == want.coeffs, f"{spec.label} m={m}"
 
 
 class TestIndependentRoutes:
@@ -235,7 +240,8 @@ class TestIndependentRoutes:
         params = TrmParams(a, b)
         for n in range(1, 13):
             spec = arccot_weight(n + a, trm_level(params, n).alpha)
-            assert trm_polynomial(params, n) == rodrigues._rodrigues_product(spec, n - 1), f"n={n}"
+            want = rodrigues._rodrigues_product(spec.s, spec.drift, n - 1).monic_positive()
+            assert trm_polynomial(params, n) == want, f"n={n}"
 
 
 class TestNoPolynomialProducts:
@@ -249,14 +255,11 @@ class TestNoPolynomialProducts:
         return calls
 
     def test_trm_polynomial(self, products):
+        # building the weight takes its drift as given, so it makes none either
         params = TrmParams(F(1, 3), F(7, 2))
-        spec = arccot_weight(40 + params.a, trm_level(params, 40).alpha)
-        building = len(products)  # the weight forms (w'/w) s once, when it is built
-        products.clear()
-        rodrigues_generate(spec, 39)
-        assert products == []
+        rodrigues_generate(arccot_weight(40 + params.a, trm_level(params, 40).alpha), 39)
         trm_polynomial(params, 40)
-        assert len(products) == building
+        assert products == []
 
     def test_jacobi_at_eckart_index(self, products):
         a, b, n = F(3, 8), F(900), 7
