@@ -2,8 +2,12 @@
 
 Each suite recomputes closed forms and measures them against an independent
 route (exact substitution, quadrature, or the finite-difference eigensolver),
-returning one record per check.  A suite's parameters are exactly the
-`verify` options it takes; every other setting is fixed in its body.
+returning one `CheckResult` per check.  A numeric check carries its figure of
+merit (`metric`) and the `bound` it must stay below, and its printed `detail`
+shows that figure; the exact yes/no checks (ODE residual, degree, level
+shift) carry neither.  The acceptance tests read these numbers instead of
+recomputing them.  A suite's parameters are exactly the `verify` options it
+takes; every other setting is fixed in its body.
 """
 
 from __future__ import annotations
@@ -22,13 +26,24 @@ PAIRS = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(50)), (Fraction(1, 4
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check; metric and bound are None for an exact yes/no check."""
+
     name: str
     passed: bool
     detail: str
+    metric: float | None = None
+    bound: float | None = None
 
 
-def _result(name, passed, detail):
-    return CheckResult(name=name, passed=bool(passed), detail=detail)
+def _measured(name, label, metric, bound, shown=None, exact=True):
+    """A numeric check: it passes when its exact parts hold and metric < bound.
+
+    detail reads `label = shown`, where shown is the metric to four digits
+    unless given.
+    """
+    metric = float(metric)
+    shown = f"{metric:.3e}" if shown is None else shown
+    return CheckResult(name, bool(exact and metric < bound), f"{label} = {shown}", metric, bound)
 
 
 def _ode_residual(params: trm.TrmParams, n: int, c: Polynomial) -> Polynomial:
@@ -40,23 +55,20 @@ def _ode_residual(params: trm.TrmParams, n: int, c: Polynomial) -> Polynomial:
 
 
 def suite_polynomials() -> list:
-    n_max = 8
+    n_max = 12
     out = []
     for a, b in PAIRS:
         params = trm.TrmParams(a, b)
-        worst_deg = True
-        all_zero = True
-        for n in range(1, n_max + 1):
-            c = trm.trm_polynomial(params, n)
-            all_zero = all_zero and _ode_residual(params, n, c).is_zero
-            worst_deg = worst_deg and c.degree == n - 1
-        out.append(_result(
+        polys = [trm.trm_polynomial(params, n) for n in range(1, n_max + 1)]
+        all_zero = all(_ode_residual(params, n, c).is_zero for n, c in enumerate(polys, 1))
+        degree_ok = all(c.degree == n - 1 for n, c in enumerate(polys, 1))
+        out.append(CheckResult(
             f"ode-residual a={a} b={b} n<={n_max}",
             all_zero, "exact residual polynomial = 0" if all_zero else "nonzero residual",
         ))
-        out.append(_result(
-            f"degree a={a} b={b}", worst_deg,
-            "deg C_n = n-1" if worst_deg else "degree mismatch",
+        out.append(CheckResult(
+            f"degree a={a} b={b}", degree_ok,
+            "deg C_n = n-1" if degree_ok else "degree mismatch",
         ))
     return out
 
@@ -75,15 +87,12 @@ def suite_orthogonality() -> list:
             return states[rows] * states[cols]
 
         est = numerics.integrate(gram, 0.0, math.pi, spec)
-        worst = float(np.max(np.abs(est.require_converged() - (rows == cols))))
-        out.append(_result(
-            f"gram a={a} b={b} n<={n_max}", worst < 1e-8, f"max |G - I| = {worst:.3e}",
-        ))
+        worst = np.max(np.abs(est.require_converged() - (rows == cols)))
+        out.append(_measured(f"gram a={a} b={b} n<={n_max}", "max |G - I|", worst, 1e-8))
     return out
 
 
 def suite_normalization() -> list:
-    out = []
     spec = numerics.QuadratureSpec(target_abs_tol=1e-12)
     worst = 0.0
     for b in (1, 5):
@@ -91,10 +100,11 @@ def suite_normalization() -> list:
             sol = trm.trm_solution(trm.TrmParams(0, b), n)
             est = numerics.integrate(lambda z: trm.trm_wavefunction(sol, z) ** 2, 0.0, math.pi, spec)
             worst = max(worst, abs(est.require_converged() - 1.0))
-    out.append(_result("closed-form norm a=0", worst < 1e-10, f"max |int R^2 - 1| = {worst:.3e}"))
     dev = abs(trm.trm_knorm(1, 1) - math.sqrt((1 - math.exp(-2 * math.pi)) / 8))
-    out.append(_result("k1 antiderivative", dev < 1e-12, f"|K_1 - closed integral| = {dev:.3e}"))
-    return out
+    return [
+        _measured("closed-form norm a=0", "max |int R^2 - 1|", worst, 1e-10),
+        _measured("k1 antiderivative", "|K_1 - closed integral|", dev, 1e-12),
+    ]
 
 
 def suite_fdm(a=Fraction(1), b=Fraction(50), grid: int = 4000) -> list:
@@ -102,15 +112,20 @@ def suite_fdm(a=Fraction(1), b=Fraction(50), grid: int = 4000) -> list:
         raise ValueError(f"--grid {grid} gives {grid // 2} coarse FDM points; "
                          "need at least 16 interior points, so --grid must be at least 32")
     params = trm.TrmParams(a, b)
+    levels = [trm.trm_level(params, n).epsilon for n in range(1, 6)]
+    for n, eps in enumerate(levels, 1):
+        if eps == 0:
+            raise ValueError(f"level n={n} has eps_n = 0 at a={params.a}, b={params.b} "
+                             "(|b| = (n+a)^2), so its relative FDM deviation is undefined")
+    exact = [float(eps) for eps in levels]
     pot = lambda z: trm.trm_potential(params, z)
-    exact = [float(trm.trm_level(params, n).epsilon) for n in range(1, 6)]
     coarse, fine, refined = numerics.fdm_eigenvalues(pot, grid // 2, (0.0, math.pi), len(exact))
     worst = max(abs((r - e) / e) for r, e in zip(refined, exact))
     orders = [math.log2(abs(c - e) / abs(f - e)) for c, f, e in zip(coarse, fine, exact)]
-    order_ok = all(1.8 <= o <= 2.2 for o in orders)
     return [
-        _result(f"fdm spectrum a={a} b={b} grid={grid}", worst < 1e-5, f"max rel dev = {worst:.3e}"),
-        _result("fdm convergence order", order_ok, f"orders = {[round(o, 3) for o in orders]}"),
+        _measured(f"fdm spectrum a={a} b={b} grid={grid}", "max rel dev", worst, 1e-5),
+        _measured("fdm convergence order", "orders", max(abs(o - 2) for o in orders), 0.2,
+                  shown=str([round(o, 3) for o in orders])),
     ]
 
 
@@ -121,34 +136,35 @@ def suite_susy(a=Fraction(1), b=Fraction(50)) -> list:
     out = []
 
     shifted = trm.TrmParams(params.a + 1, params.b)
-    sols = [trm.trm_solution(params, n) for n in range(1, 6)]
-    partners = [trm.trm_solution(shifted, n) for n in range(1, 5)]   # partners[i] pairs with sols[i + 1]
+    # every sample is unit-normalized on the grid, so the states stay raw;
+    # partners[i] pairs with sols[i + 1]
+    sols = [trm.trm_solution(params, n, normalize=False) for n in range(1, 6)]
+    partners = [trm.trm_solution(shifted, n, normalize=False) for n in range(1, 5)]
 
     def samples(sol, points):
         return numerics.sample(lambda zz: trm.trm_wavefunction(sol, zz), points)
 
     f1 = samples(sols[0], z).unit_normalized()
-    worst = float(np.max(np.abs(susy.apply_ladder("-", u, f1).values)))
-    out.append(_result("ground-state annihilation", worst < 1e-7, f"max |A- R_1| = {worst:.3e}"))
+    worst = np.max(np.abs(susy.apply_ladder("-", u, f1).values))
+    out.append(_measured("ground-state annihilation", "max |A- R_1|", worst, 1e-7))
 
     worst = 0.0
     for sol, partner in zip(sols[1:], partners):
         low = susy.apply_ladder("-", u, samples(sol, z)).unit_normalized()
         tgt = samples(partner, low.z).unit_normalized()
-        dev = min(float(np.max(np.abs(low.values - tgt.values))),
-                  float(np.max(np.abs(low.values + tgt.values))))
+        dev = min(np.max(np.abs(low.values - tgt.values)), np.max(np.abs(low.values + tgt.values)))
         worst = max(worst, dev)
-    out.append(_result("partner identity n=2..5", worst < 1e-7, f"max pointwise dev = {worst:.3e}"))
+    out.append(_measured("partner identity n=2..5", "max pointwise dev", worst, 1e-7))
 
     zr = numerics.safe_grid(2000)
     eps1 = float(trm.trm_level(params, 1).epsilon)
-    res = float(np.max(np.abs(u(zr) ** 2 - u.derivative(zr) + eps1 - trm.trm_potential(params, zr))))
-    out.append(_result("riccati identity", res < 1e-10, f"max |U^2 - U' + eps_1 - v| = {res:.3e}"))
+    res = np.max(np.abs(u(zr) ** 2 - u.derivative(zr) + eps1 - trm.trm_potential(params, zr)))
+    out.append(_measured("riccati identity", "max |U^2 - U' + eps_1 - v|", res, 1e-10))
 
     exact_shift = all(
         trm.trm_level(shifted, n - 1).epsilon == trm.trm_level(params, n).epsilon for n in range(2, 11)
     )
-    out.append(_result("exact level shift", exact_shift, "eps_{n-1}(a+1) = eps_n(a) exactly"))
+    out.append(CheckResult("exact level shift", exact_shift, "eps_{n-1}(a+1) = eps_n(a) exactly"))
     return out
 
 
@@ -158,11 +174,11 @@ def suite_classical() -> list:
         members = [rodrigues.rodrigues_generate(spec, m) for m in range(9)]
         residual_ok = all(rodrigues.sturm_liouville_residual(spec, r).is_zero for r in members)
         degree_ok = all(r.poly.degree == r.m for r in members)
-        worst = _orthogonality_defect(spec, members)
-        out.append(_result(
-            f"{spec.label}",
-            residual_ok and degree_ok and worst < 1e-10,
-            f"residual exact, max normalized <C_m, C_m'> = {worst:.3e}",
+        exact = residual_ok and degree_ok
+        out.append(_measured(
+            spec.label,
+            f"residual {'exact' if exact else 'or degree wrong'}, max normalized <C_m, C_m'>",
+            _orthogonality_defect(spec, members), 1e-10, exact=exact,
         ))
     return out
 

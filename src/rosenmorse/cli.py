@@ -43,6 +43,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("must be a positive finite number")
+    return value
+
+
 def fmt(value) -> str:
     """Exact fractions as p/q; floats in shortest round-trip form."""
     if isinstance(value, str):
@@ -230,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=rational, required=True)
     p.add_argument("--grid-n", type=positive_int, default=800)
     p.add_argument("--n-levels", type=positive_int, default=5)
-    p.add_argument("--zmax", type=float, default=6.0, help="right edge for the half-line system")
+    p.add_argument("--zmax", type=positive_float, default=6.0, help="right edge for the half-line system")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_figure)

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -162,11 +163,16 @@ def jacobi_polynomial(n: int, nu, mu) -> Polynomial:
     drops degree (the Eckart factor does so at a = 0 and a = -1/2), and the
     Rodrigues product builds it instead: P_n = (-1)^n / (2^n n!) times the
     Rodrigues derivative of the weight (1-x)^nu (1+x)^mu, whose drift is
-    (mu - nu) - (nu + mu) x (DLMF 18.5.5).
+    (mu - nu) - (nu + mu) x (DLMF 18.5.5).  Float indices near such a point
+    would divide by a round-off-sized factor, so they run exactly on their
+    binary values and the result is rounded once.
     """
     if n < 0:
         raise ValueError("polynomial degree must be non-negative")
     nu, mu = _exact(nu), _exact(mu)
+    floats = isinstance(nu, float) or isinstance(mu, float)
+    if floats:
+        nu, mu = Fraction(nu), Fraction(mu)
     # (n+nu+mu+1)_n / (2^n n!) = binomial(2n+nu+mu, n) / 2^n; starting the
     # product at top**0 keeps the scalar type at n = 0
     top = 2 * n + nu + mu
@@ -175,7 +181,7 @@ def jacobi_polynomial(n: int, nu, mu) -> Polynomial:
     poly = _ode_member(s, drift + s.diff(), n, lead)
     if poly is None:
         poly = _rodrigues_product(s, drift, n).scale(_sdiv((-1) ** n, 2**n * math.factorial(n)))
-    return poly
+    return poly.to_float() if floats else poly
 
 
 def eckart_solution(params: EckartParams, n: int, normalize: bool = True) -> EckartSolution:

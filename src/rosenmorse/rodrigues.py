@@ -90,12 +90,9 @@ def _ode_member(s: Polynomial, tau: Polynomial, m: int, lead):
 
     Runs the two-step coefficient recurrence down from c_m = lead.  Returns
     None when a factor t_1 + s_2 (k + m - 1), k < m, vanishes: the recurrence
-    then does not fix c_k.  Over exact scalars lead vanishes exactly then; a
-    float lead can round to zero while no factor does, so a zero lead also
-    returns None.  Divisions go through `_sdiv`, so exact scalars stay exact.
+    then does not fix c_k.  Divisions go through `_sdiv`, so exact scalars
+    stay exact.
     """
-    if lead == 0:
-        return None
     s0, s1, s2 = s.coeff(0), s.coeff(1), s.coeff(2)
     t0, t1 = tau.coeff(0), tau.coeff(1)
     c = [0] * (m + 2)

@@ -244,6 +244,9 @@ class TestErrors:
         (["verify", "polynomials", "--a", "7"], "verify polynomials takes no --a"),
         (["verify", "susy", "--grid", "5000"], "verify susy takes no --grid"),
         (["verify", "classical", "--grid", "100"], "verify classical takes no --grid"),
+        # eps_1 = 0 at |b| = (1+a)^2: the relative FDM deviation has no meaning there
+        (["verify", "fdm", "--a", "0", "--b", "1"], "level n=1 has eps_n = 0 at a=0, b=1"),
+        (["verify", "fdm", "--a", "1", "--b", "4"], "level n=1 has eps_n = 0 at a=1, b=4"),
     ])
     def test_library_refusal_is_a_usage_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as err:
@@ -251,3 +254,12 @@ class TestErrors:
         assert err.value.code == 2
         captured = capsys.readouterr()
         assert "rosenmorse: error: " in captured.err and message in captured.err
+
+    @pytest.mark.parametrize("zmax", ["nan", "inf", "0", "-1"])
+    def test_zmax_must_be_positive_and_finite(self, zmax, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["figure", "I", "--a", "0", "--b", "50", "--zmax", zmax, "-o", "-"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --zmax: must be a positive finite number" in captured.err
