@@ -186,10 +186,10 @@ def suite_classical() -> list:
 def _orthogonality_defect(spec, members) -> float:
     """Largest normalized off-diagonal inner product among the given members.
 
-    One quadrature gives the whole weighted Gram matrix.  Its diagonal (the
-    squared norms) must converge; the off-diagonal entries sit at the
-    round-off floor, where the level-to-level change never settles, so their
-    last value is used as it stands.
+    One quadrature gives the whole weighted Gram matrix, and every entry must
+    converge.  The relative target is measured against the integral of
+    |w C_m C_m'|, so an off-diagonal entry at the round-off floor converges
+    once its change is small beside the size of the parts that cancel.
     """
     lo, hi = spec.domain
     polys = [r.poly.to_float() for r in members]
@@ -200,13 +200,11 @@ def _orthogonality_defect(spec, members) -> float:
         return spec.weight(x, dlo, dhi) * values[rows] * values[cols]
 
     qspec = numerics.QuadratureSpec(target_abs_tol=1e-13, target_rel_tol=1e-13)
-    est = numerics.integrate(gram, lo, hi, qspec, distance_form=True)
+    value = numerics.integrate(gram, lo, hi, qspec, distance_form=True).require_converged()
     diag = rows == cols
-    if not np.all(est.converged[diag]):
-        raise RuntimeError(f"quadrature of the {spec.label} norms did not converge")
-    norms = np.sqrt(est.value[diag])
+    norms = np.sqrt(value[diag])
     off = ~diag
-    return float(np.max(np.abs(est.value[off]) / (norms[rows[off]] * norms[cols[off]]), initial=0.0))
+    return float(np.max(np.abs(value[off]) / (norms[rows[off]] * norms[cols[off]]), initial=0.0))
 
 
 SUITES = {

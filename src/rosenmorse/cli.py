@@ -14,6 +14,7 @@ import inspect
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -138,22 +139,17 @@ def cmd_figure(args) -> int:
     which = args.which.upper()
     fmt_kind = args.format
     z = interior_grid(args.grid_n, (0.0, args.zmax if which == "I" else math.pi))
-    if which == "I":
-        params = EckartParams(args.a, args.b)
-        rows = list(zip(z, eckart_potential(params, z)))
+    if which in ("I", "II"):
+        if which == "I":
+            params, potential, last = EckartParams(args.a, args.b), eckart_potential, {"zmax": args.zmax}
+        else:
+            params, potential, last = TrmParams(args.a, args.b), trm_potential, {"n_levels": args.n_levels}
+        rows = list(zip(z, potential(params, z)))
         curve_path, levels_path = _figure_paths(args, which)
-        meta = _meta("figure", figure="I", a=args.a, b=args.b, grid_n=args.grid_n, zmax=args.zmax)
+        meta = _meta("figure", figure=which, a=args.a, b=args.b, grid_n=args.grid_n, **last)
         _write_table(curve_path, meta, ("z", "v"), rows, fmt_kind)
-        level_rows = [(l.n, float(l.epsilon)) for l in eckart_spectrum(params)]
-        _write_table(levels_path, meta, ("n", "epsilon"), level_rows, fmt_kind)
-        return 0
-    if which == "II":
-        params = TrmParams(args.a, args.b)
-        rows = list(zip(z, trm_potential(params, z)))
-        curve_path, levels_path = _figure_paths(args, which)
-        meta = _meta("figure", figure="II", a=args.a, b=args.b, grid_n=args.grid_n, n_levels=args.n_levels)
-        _write_table(curve_path, meta, ("z", "v"), rows, fmt_kind)
-        level_rows = [(l.n, float(l.epsilon)) for l in trm_spectrum(params, args.n_levels)]
+        levels = eckart_spectrum(params) if which == "I" else trm_spectrum(params, args.n_levels)
+        level_rows = [(l.n, float(l.epsilon)) for l in levels]
         _write_table(levels_path, meta, ("n", "epsilon"), level_rows, fmt_kind)
         return 0
     if which == "III":
@@ -252,9 +248,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_rationals(argv):
+    """Rewrite '--a -1/2' as '--a=-1/2', and so for --b: argparse reads '-1/2' as an option."""
+    out = []
+    for token in argv:
+        if out and out[-1] in ("--a", "--b") and re.match(r"-\.?\d", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_rationals(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ValueError as exc:

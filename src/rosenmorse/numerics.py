@@ -30,8 +30,10 @@ class QuadratureSpec:
     """Convergence targets for `integrate`.
 
     Convergence is reached when the level-to-level change drops below
-    max(target_abs_tol, target_rel_tol * |value|); the relative target is off
-    by default and useful when the integral's scale is not known in advance.
+    max(target_abs_tol, target_rel_tol * scale), with scale the integral of
+    |f| (QUADPACK's `resabs`): the value itself for a nonnegative integrand,
+    the size of the cancelling parts for a signed one.  The relative target
+    is off by default.
     """
 
     target_abs_tol: float = 1e-10
@@ -46,9 +48,9 @@ class QuadratureSpec:
         if self.target_rel_tol < 0:
             raise ValueError("target_rel_tol must be non-negative")
 
-    def met(self, err, value):
+    def met(self, err, scale):
         """Whether each error estimate meets the target; elementwise on arrays."""
-        return err <= np.maximum(self.target_abs_tol, self.target_rel_tol * np.abs(value))
+        return err <= np.maximum(self.target_abs_tol, self.target_rel_tol * scale)
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,8 @@ def _de_map(lo: float, hi: float):
     distances to the endpoints.  Near a nonzero finite endpoint the absolute
     coordinate x saturates at one ulp, so integrands that are singular there
     must work from the distances (see `integrate(distance_form=True)`); the
-    distances themselves stay meaningful down to ~1e-300.
+    distances themselves stay meaningful down to ~1e-300.  `integrate`
+    refuses (-inf, finite).
     """
     lo_fin, hi_fin = math.isfinite(lo), math.isfinite(hi)
     inf = math.inf
@@ -102,21 +105,13 @@ def _de_map(lo: float, hi: float):
             dx = span * 0.25 * np.pi * np.cosh(t) / np.cosh(w) ** 2
             return x, dlo, dhi, dx
 
-    elif lo_fin and not hi_fin:
+    elif lo_fin:
         tiny_lo = 4.0 * np.finfo(float).eps * abs(lo)
 
         def nodes(t):
             w = np.exp(0.5 * np.pi * np.sinh(t))
             x = lo + np.maximum(w, tiny_lo)
             return x, w, np.full_like(w, inf), w * 0.5 * np.pi * np.cosh(t)
-
-    elif hi_fin and not lo_fin:
-        tiny_hi = 4.0 * np.finfo(float).eps * abs(hi)
-
-        def nodes(t):
-            w = np.exp(0.5 * np.pi * np.sinh(t))
-            x = hi - np.maximum(w, tiny_hi)
-            return x, np.full_like(w, inf), w, w * 0.5 * np.pi * np.cosh(t)
 
     else:
 
@@ -147,7 +142,7 @@ def _evaluate(call, x, dlo, dhi, rows):
 
 
 def _de_level(call, nodes, h: float, term_tol: float):
-    """Trapezoid sum over the transformed line at spacing h, and its point count.
+    """Trapezoid sums of f and of |f| over the transformed line at spacing h, and the point count.
 
     Works outward from t = 0 in chunks and stops a side once two consecutive
     chunks contribute only terms below term_tol in every row; the
@@ -164,6 +159,7 @@ def _de_level(call, nodes, h: float, term_tol: float):
         head = _evaluate(call, x0, dlo0, dhi0, None)
         rows = head.shape[:-1]
         total = head[..., 0] * dx0[0]
+        mass = np.abs(total)
         count = 1
         for sign in (1.0, -1.0):
             j = 1
@@ -178,32 +174,12 @@ def _de_level(call, nodes, h: float, term_tol: float):
                 count += t.size
                 peak = float(np.max(np.abs(terms)))
                 if not math.isfinite(peak):
-                    return np.full(rows, math.nan), count
+                    return np.full(rows, math.nan), np.full(rows, math.nan), count
                 total += np.sum(terms, axis=-1)
+                mass += np.sum(np.abs(terms), axis=-1)
                 quiet = quiet + 1 if peak < term_tol else 0
                 j += _BLOCK
-    return h * total, count
-
-
-def _integrate_de(call, lo, hi, spec):
-    nodes = _de_map(lo, hi)
-    h = 0.5
-    prev = None
-    nodes_run = 0
-    for level in range(1, spec.max_refinement + 2):
-        term_tol = spec.target_abs_tol * 1e-2 / (1.0 + h)
-        value, points = _de_level(call, nodes, h, term_tol)
-        nodes_run += points
-        if prev is not None:
-            err = np.abs(value - prev)
-            met = spec.met(err, value)
-            if np.all(met):
-                break
-        prev = value
-        h *= 0.5
-    if np.ndim(value) == 0:
-        return IntegralEstimate(float(value), float(err), bool(met), level, nodes_run)
-    return IntegralEstimate(value, err, met, level, nodes_run)
+    return h * total, h * mass, count
 
 
 def integrate(
@@ -226,9 +202,10 @@ def integrate(
     the weights and whatever f computes once per chunk among all its rows
     (a Gram matrix costs one integration, not one per entry); the tail cutoff
     follows the largest term over all rows, the error estimate is taken row
-    by row, and a level is accepted when every row meets the spec.  The
-    estimate's value, error and converged flags are then arrays, one entry
-    per row; a scalar integrand gets floats and a bool.
+    by row against that row's integral of |f| (see `QuadratureSpec`), and a
+    level is accepted when every row meets the spec.  The estimate's value,
+    error and converged flags are then arrays, one entry per row; a scalar
+    integrand gets floats and a bool.
 
     The reported error is the change between the last two refinement levels.
     It bounds the true error comfortably on smooth convergent problems, but
@@ -240,12 +217,32 @@ def integrate(
         spec = QuadratureSpec()
     if not lo < hi:
         raise ValueError("integration interval is empty")
+    if lo == -math.inf and hi < math.inf:
+        raise ValueError("integration from -inf to a finite limit is not supported; "
+                         "substitute x -> -x to integrate from the finite limit to +inf")
     if distance_form:
         call = f
     else:
         def call(x, dlo, dhi):
             return f(x)
-    return _integrate_de(call, lo, hi, spec)
+    nodes = _de_map(lo, hi)
+    h = 0.5
+    prev = None
+    nodes_run = 0
+    for level in range(1, spec.max_refinement + 2):
+        term_tol = spec.target_abs_tol * 1e-2 / (1.0 + h)
+        value, scale, points = _de_level(call, nodes, h, term_tol)
+        nodes_run += points
+        if prev is not None:
+            err = np.abs(value - prev)
+            met = spec.met(err, scale)
+            if np.all(met):
+                break
+        prev = value
+        h *= 0.5
+    if np.ndim(value) == 0:
+        return IntegralEstimate(float(value), float(err), bool(met), level, nodes_run)
+    return IntegralEstimate(value, err, met, level, nodes_run)
 
 
 def quadrature_norm(f, hi: float) -> float:

@@ -181,20 +181,3 @@ class Polynomial:
         if self.is_zero:
             return self
         return -self if self.leading < 0 else self
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeff(k)
-            if c == 0:
-                continue
-            term = "" if (c == 1 and k) else ("-" if (c == -1 and k) else str(c))
-            if k:
-                term += ("" if term in ("", "-") else "*") + ("x" if k == 1 else f"x^{k}")
-            parts.append(term)
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out

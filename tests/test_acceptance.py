@@ -191,7 +191,7 @@ def _orthogonality_defect(spec, members):
                 lambda x, dlo, dhi: spec.weight(x, dlo, dhi) * polys[i](x) * polys[j](x),
                 lo, hi, pair_spec, distance_form=True,
             )
-            worst = max(worst, abs(est.value) / (norms[i] * norms[j]))
+            worst = max(worst, abs(est.require_converged()) / (norms[i] * norms[j]))
     return worst
 
 

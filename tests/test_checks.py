@@ -3,9 +3,10 @@
 import json
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
-from rosenmorse import checks
+from rosenmorse import checks, numerics
 
 # the exact yes/no checks carry no metric
 EXACT = ("ode-residual", "degree", "exact level shift")
@@ -37,3 +38,18 @@ def test_failing_figures_fail():
     assert [r.passed for r in results] == [False, False, True, True]
     for result in results:
         assert_consistent(result)
+
+
+def test_classical_gram_matrices_converge(monkeypatch):
+    # every entry, off-diagonal ones at the round-off floor included, meets its target
+    seen, integrate = [], numerics.integrate
+
+    def recorded(*args, **kwargs):
+        est = integrate(*args, **kwargs)
+        seen.append(est)
+        return est
+
+    monkeypatch.setattr(numerics, "integrate", recorded)
+    assert all(r.passed for r in checks.suite_classical())
+    assert [est.level for est in seen] == [8, 8, 5, 5, 5, 5, 5]
+    assert all(np.all(est.converged) for est in seen)

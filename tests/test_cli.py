@@ -255,6 +255,23 @@ class TestErrors:
         captured = capsys.readouterr()
         assert "rosenmorse: error: " in captured.err and message in captured.err
 
+    @pytest.mark.parametrize("plain, joined", [
+        ("poly --a -1/2 --b 5 --n 3", "poly --a=-1/2 --b 5 --n 3"),
+        ("spectrum --a 1 --b -7/2", "spectrum --a 1 --b=-7/2"),
+    ])
+    def test_negative_rational_after_option(self, plain, joined, capsys):
+        # argparse alone reads '-1/2' as an option and exits 2
+        assert main(plain.split()) == 0
+        out_plain = capsys.readouterr().out
+        assert main(joined.split()) == 0
+        assert out_plain == capsys.readouterr().out
+
+    def test_option_like_value_still_refused(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["poly", "--a", "-x", "--b", "5", "--n", "3"])
+        assert err.value.code == 2
+        assert "argument --a: expected one argument" in capsys.readouterr().err
+
     @pytest.mark.parametrize("zmax", ["nan", "inf", "0", "-1"])
     def test_zmax_must_be_positive_and_finite(self, zmax, capsys):
         with pytest.raises(SystemExit) as err:

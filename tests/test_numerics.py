@@ -107,6 +107,23 @@ class TestQuadrature:
         spec = QuadratureSpec(target_abs_tol=1e-300, target_rel_tol=1e-12)
         est = integrate(lambda x: 1e8 * np.exp(-x * x), -math.inf, math.inf, spec)
         assert est.require_converged() == pytest.approx(1e8 * math.sqrt(math.pi), rel=1e-11)
+        # for f >= 0 the integral of |f| is the value itself: pinned bit for bit
+        assert (est.level, est.nodes, est.value) == (5, 749, 177245385.0905516)
+
+    @pytest.mark.parametrize("f,lo,hi", [
+        (np.sin, 0.0, 2 * math.pi),
+        (lambda x: (1 - x) * np.exp(-x), 0.0, math.inf),
+    ], ids=["sin-period", "half-line"])
+    def test_relative_target_on_zero_valued_signed_integrand(self, f, lo, hi):
+        # the value sits at the round-off floor; the target scales with the integral of |f|
+        spec = QuadratureSpec(target_abs_tol=1e-300, target_rel_tol=1e-12)
+        est = integrate(f, lo, hi, spec)
+        assert est.converged and est.level <= 5
+        assert abs(est.value) < 1e-14
+
+    def test_minus_infinity_to_finite_refused(self):
+        with pytest.raises(ValueError, match="substitute x -> -x"):
+            integrate(lambda x: np.exp(x), -math.inf, 0.0)
 
     def test_levels_and_nodes_reported(self):
         seen = []
